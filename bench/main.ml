@@ -1528,10 +1528,13 @@ let bench_wlan () =
    small enough that the unreduced space stays cheap (one environment
    injection and one timer fire per instance), with and without
    partial-order reduction, plus once at the default `tutflow check`
-   budget for a throughput figure.  Gates: both bounded explorations
-   must be exhaustive and agree on the verdict (the seed is
-   deadlock-free), POR must visit strictly fewer states than the
-   unreduced run, and throughput must clear a conservative floor. *)
+   budget for a throughput and an allocation figure.  Gates: both
+   bounded explorations must be exhaustive and agree on the verdict
+   (the seed is deadlock-free), POR must visit strictly fewer states
+   than the unreduced run, and throughput must clear a conservative
+   floor.  The CI step gates minor words per state at the default
+   budget too: allocation is deterministic, so that gate holds on any
+   machine. *)
 let bench_mc () =
   section "Model checker (explicit-state exploration)";
   let states_per_sec_floor = 5_000.0 in
@@ -1542,13 +1545,15 @@ let bench_mc () =
   let explore budget por =
     let net = Mc.Net.build model in
     Gc.full_major ();
+    let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     let r =
       Mc.Explore.run
         ~config:{ Mc.Explore.default_config with Mc.Explore.budget; por }
         net
     in
-    (r, Unix.gettimeofday () -. t0)
+    let dt = Unix.gettimeofday () -. t0 in
+    (r, dt, Gc.minor_words () -. w0)
   in
   let small_budget =
     {
@@ -1558,9 +1563,9 @@ let bench_mc () =
       max_states = 500_000;
     }
   in
-  let reduced, reduced_s = explore small_budget true in
-  let full, full_s = explore small_budget false in
-  let deflt, deflt_s = explore Mc.Explore.default_budget true in
+  let reduced, reduced_s, _ = explore small_budget true in
+  let full, full_s, _ = explore small_budget false in
+  let deflt, deflt_s, deflt_words = explore Mc.Explore.default_budget true in
   let states (r : Mc.Explore.result) = r.Mc.Explore.stats.Mc.Explore.states in
   let exhausted (r : Mc.Explore.result) =
     r.Mc.Explore.stats.Mc.Explore.exhausted
@@ -1574,6 +1579,7 @@ let bench_mc () =
   in
   let reduction = float_of_int (states full) /. float_of_int (states reduced) in
   let states_per_sec = float_of_int (states deflt) /. deflt_s in
+  let words_per_state = deflt_words /. float_of_int (states deflt) in
   Printf.printf "  %-28s %10d states in %.3fs\n" "por on (env 1, timer 1)"
     (states reduced) reduced_s;
   Printf.printf "  %-28s %10d states in %.3fs\n" "por off (env 1, timer 1)"
@@ -1581,6 +1587,7 @@ let bench_mc () =
   Printf.printf "  %-28s %10.1fx\n" "por reduction" reduction;
   Printf.printf "  %-28s %10d states in %.3fs (%.0f states/sec)\n"
     "default budget (por on)" (states deflt) deflt_s states_per_sec;
+  Printf.printf "  %-28s %10.1f\n" "minor words per state" words_per_state;
   let oc = open_out "BENCH_mc.json" in
   output_string oc
     (Obs.Json.to_string
@@ -1594,6 +1601,7 @@ let bench_mc () =
             ("default_states", Obs.Json.Int (states deflt));
             ("default_seconds", Obs.Json.Float deflt_s);
             ("states_per_sec", Obs.Json.Float states_per_sec);
+            ("minor_words_per_state", Obs.Json.Float words_per_state);
             ("exhaustive", Obs.Json.Bool (exhausted reduced && exhausted full));
             ("verdict_agree", Obs.Json.Bool verdict_agree);
             ("deadlock_free", Obs.Json.Bool deadlock_free);

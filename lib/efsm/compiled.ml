@@ -62,11 +62,23 @@ type ctrans = {
   t_actions : int;  (** entry pc of the transition-action program *)
   t_target : int;  (** target state id *)
   t_delay : int;  (** [After] delay, -1 otherwise *)
-  t_machine_tr : Machine.transition;  (** original record, for [step.fired] *)
+  t_index : int;  (** declaration index in [machine.transitions] *)
   t_fired : Machine.transition option;
-      (** [Some t_machine_tr], boxed once at compile time so a firing
-          dispatch does not allocate the option *)
+      (** [Some] of the original record, boxed once at compile time so a
+          firing dispatch does not allocate the option *)
 }
+
+let trigger c =
+  match c.t_fired with
+  | Some tr -> tr.Machine.trigger
+  | None -> assert false
+
+(* Position of [tr] in [trs], by identity.  Top level and recursive on
+   its arguments only, so compiling allocates no closure for it. *)
+let rec index_in trs tr i =
+  match trs with
+  | [] -> invalid_arg "Compiled.index_in"
+  | x :: rest -> if x == tr then i else index_in rest tr (i + 1)
 
 type program = {
   machine : Machine.t;
@@ -359,16 +371,16 @@ let compile machine =
     (Machine.signals_consumed machine);
   let n_signals = Hashtbl.length signal_ids in
   let state_id s = Hashtbl.find e.p_state_ids s in
-  let ctrans_of (tr : Machine.transition) guard actions =
+  let ctrans_of (tr : Machine.transition) target guard actions =
     {
       t_guard = guard;
       t_actions = actions;
-      t_target = state_id tr.Machine.target;
+      t_target = target;
       t_delay =
         (match tr.Machine.trigger with
         | Machine.After d -> d
         | Machine.On_signal _ | Machine.Completion -> -1);
-      t_machine_tr = tr;
+      t_index = index_in machine.Machine.transitions tr 0;
       t_fired = Some tr;
     }
   in
@@ -383,7 +395,8 @@ let compile machine =
     let from_here =
       List.filter_map
         (fun ((tr : Machine.transition), g, a) ->
-          if state_id tr.Machine.source = s then Some (ctrans_of tr g a)
+          if state_id tr.Machine.source = s then
+            Some (ctrans_of tr (state_id tr.Machine.target) g a)
           else None)
         trans_compiled
     in
@@ -392,7 +405,7 @@ let compile machine =
         Array.of_list
           (List.filter
              (fun c ->
-               match c.t_machine_tr.Machine.trigger with
+               match trigger c with
                | Machine.On_signal name ->
                  Hashtbl.find signal_ids name = sig_
                | Machine.After _ | Machine.Completion -> false)
@@ -413,7 +426,7 @@ let compile machine =
       Array.of_list
         (List.filter
            (fun c ->
-             match c.t_machine_tr.Machine.trigger with
+             match trigger c with
              | Machine.Completion -> true
              | Machine.On_signal _ | Machine.After _ -> false)
            from_here)
@@ -485,7 +498,11 @@ type t = {
   (* evaluation stack *)
   stk_v : int array;
   stk_t : Bytes.t;
-  loop_counters : int array;
+  (* per-step int scratch: the loop counters in [0, n_loops), then,
+     once {!record_sites} has been called, the send-site id of each
+     buffered effect (-1 for a compute effect) from [n_loops] on, so an
+     instance that never records sites allocates nothing for them *)
+  mutable ints : int array;
   (* effect accumulator for the current step *)
   mutable eff : Action.effect array;
   mutable eff_len : int;
@@ -504,7 +521,7 @@ let create prog =
     gen = 0;
     stk_v = Array.make prog.max_stack 0;
     stk_t = Bytes.make prog.max_stack tag_unbound;
-    loop_counters = Array.make prog.n_loops 0;
+    ints = Array.make prog.n_loops 0;
     eff = Array.make 8 (Action.Eff_compute 0);
     eff_len = 0;
   }
@@ -544,13 +561,26 @@ let reset t =
 
 let type_error fmt = Printf.ksprintf (fun s -> raise (Action.Type_error s)) fmt
 
-let push_effect t effect =
+let recording t = Array.length t.ints > t.prog.n_loops
+
+(* Size the site slots of [ints] to the effect buffer. *)
+let resize_sites t =
+  let ints = Array.make (t.prog.n_loops + Array.length t.eff) (-1) in
+  Array.blit t.ints 0 ints 0 (min (Array.length t.ints) (Array.length ints));
+  t.ints <- ints
+
+let record_sites t = if not (recording t) then resize_sites t
+
+let push_effect t effect site =
   if t.eff_len = Array.length t.eff then begin
     let bigger = Array.make (2 * t.eff_len) (Action.Eff_compute 0) in
     Array.blit t.eff 0 bigger 0 t.eff_len;
-    t.eff <- bigger
+    t.eff <- bigger;
+    if recording t then resize_sites t
   end;
   t.eff.(t.eff_len) <- effect;
+  let j = t.prog.n_loops + t.eff_len in
+  if j < Array.length t.ints then t.ints.(j) <- site;
   t.eff_len <- t.eff_len + 1
 
 let effects_list t =
@@ -740,7 +770,8 @@ let run_prog t pc =
       Bytes.unsafe_set t.var_t i (Bytes.unsafe_get stk_t (sp - 1));
       loop (pc + 2) (sp - 1)
     | 23 (* op_send *) ->
-      let site = t.prog.sites.(Array.unsafe_get code (pc + 1)) in
+      let site_id = Array.unsafe_get code (pc + 1) in
+      let site = t.prog.sites.(site_id) in
       (* arguments were pushed left-to-right: walk the stack top-down,
          consing, to rebuild them in positional order *)
       let argc = site.s_argc in
@@ -754,24 +785,25 @@ let run_prog t pc =
              port = site.s_port;
              signal = site.s_signal;
              args = build (sp - 1) [];
-           });
+           })
+        site_id;
       loop (pc + 2) (sp - argc)
     | 24 (* op_compute *) ->
       if Bytes.unsafe_get stk_t (sp - 1) <> tag_int then
         type_error "expected an integer";
       let cycles = Array.unsafe_get stk_v (sp - 1) in
       if cycles < 0 then type_error "negative computation cost";
-      if cycles > 0 then push_effect t (Action.Eff_compute cycles);
+      if cycles > 0 then push_effect t (Action.Eff_compute cycles) (-1);
       loop (pc + 1) (sp - 1)
     | 25 (* op_iter_reset *) ->
-      Array.unsafe_set t.loop_counters (Array.unsafe_get code (pc + 1)) 0;
+      Array.unsafe_set t.ints (Array.unsafe_get code (pc + 1)) 0;
       loop (pc + 2) sp
     | 26 (* op_iter_check *) ->
       let k = Array.unsafe_get code (pc + 1) in
-      let count = Array.unsafe_get t.loop_counters k in
+      let count = Array.unsafe_get t.ints k in
       if count > Action.max_loop_iterations then
         type_error "loop exceeded %d iterations" Action.max_loop_iterations;
-      Array.unsafe_set t.loop_counters k (count + 1);
+      Array.unsafe_set t.ints k (count + 1);
       loop (pc + 2) sp
     | 27 (* op_check_int *) ->
       if Bytes.unsafe_get stk_t (sp - 1) <> tag_int then
@@ -779,7 +811,8 @@ let run_prog t pc =
       loop (pc + 1) sp
     | 28 (* op_compute_const *) ->
       push_effect t
-        (Array.unsafe_get t.prog.consts (Array.unsafe_get code (pc + 1)));
+        (Array.unsafe_get t.prog.consts (Array.unsafe_get code (pc + 1)))
+        (-1);
       loop (pc + 2) sp
     | _ -> assert false
   in
@@ -869,9 +902,27 @@ let run_completions_into t =
   in
   loop 0
 
+(* Fire the first enabled candidate (exit, actions, entry, then chained
+   completions) and return its index, or -1 when none is enabled. *)
+let fire_first t cands =
+  let i = first_enabled_idx t cands in
+  if i >= 0 then begin
+    t.eff_len <- 0;
+    fire t cands.(i);
+    run_completions_into t
+  end;
+  i
+
+(* The declaration index of what {!fire_first} fired, -1 for nothing. *)
+let fired_index cands i = if i < 0 then -1 else cands.(i).t_index
+
 (* The no-transition outcome is immutable and carries nothing, so every
    miss shares one preallocated step. *)
 let no_step = { Interp.fired = None; Interp.effects = [] }
+
+let step_of t cands i =
+  if i < 0 then no_step
+  else { Interp.fired = cands.(i).t_fired; Interp.effects = effects_list t }
 
 let dispatch t ~signal ~args =
   match Hashtbl.find t.prog.signal_ids signal with
@@ -879,15 +930,7 @@ let dispatch t ~signal ~args =
   | sid ->
     bind_params t args;
     let cands = t.prog.on_signal.(t.state).(sid) in
-    let i = first_enabled_idx t cands in
-    if i < 0 then no_step
-    else begin
-      let c = cands.(i) in
-      t.eff_len <- 0;
-      fire t c;
-      run_completions_into t;
-      { Interp.fired = c.t_fired; Interp.effects = effects_list t }
-    end
+    step_of t cands (fire_first t cands)
 
 let signal_id t signal =
   match Hashtbl.find t.prog.signal_ids signal with
@@ -898,49 +941,53 @@ let dispatch_id t ~sid ~args =
   if sid < 0 then false
   else begin
     bind_params t args;
-    let cands = t.prog.on_signal.(t.state).(sid) in
-    let i = first_enabled_idx t cands in
-    if i < 0 then false
-    else begin
-      t.eff_len <- 0;
-      fire t cands.(i);
-      run_completions_into t;
-      true
+    fire_first t t.prog.on_signal.(t.state).(sid) >= 0
+  end
+
+(* Positional binding from int slices, first occurrence winning like
+   {!bind_args}: signal parameter [k] is slot [pids.(k)] (-1 when the
+   machine never reads it), with its tag code and value at [off + k]. *)
+let bind_raw t pids argt argv off argc =
+  clear_params t;
+  for k = 0 to min argc (Array.length pids) - 1 do
+    let i = pids.(k) in
+    if i >= 0 && t.par_gen.(i) <> t.gen then begin
+      t.par_v.(i) <- argv.(off + k);
+      Bytes.set t.par_t i (Char.chr argt.(off + k));
+      t.par_gen.(i) <- t.gen
     end
+  done
+
+let dispatch_raw t ~sid ~pids ~argt ~argv ~off ~argc =
+  if sid < 0 then -1
+  else begin
+    bind_raw t pids argt argv off argc;
+    let cands = t.prog.on_signal.(t.state).(sid) in
+    fired_index cands (fire_first t cands)
   end
 
 let fire_timer_id t ~entered_state =
   if t.prog.state_names.(t.state) <> entered_state then false
   else begin
     clear_params t;
-    let cands = t.prog.afters.(t.state) in
-    let i = first_enabled_idx t cands in
-    if i < 0 then false
-    else begin
-      t.eff_len <- 0;
-      fire t cands.(i);
-      run_completions_into t;
-      true
-    end
+    fire_first t t.prog.afters.(t.state) >= 0
   end
+
+let fire_timer_raw t =
+  clear_params t;
+  let cands = t.prog.afters.(t.state) in
+  fired_index cands (fire_first t cands)
 
 let effect_count t = t.eff_len
 let effect_at t i = t.eff.(i)
+let effect_site t i = t.ints.(t.prog.n_loops + i)
 
 let fire_timer t ~entered_state =
   if t.prog.state_names.(t.state) <> entered_state then no_step
   else begin
     clear_params t;
     let cands = t.prog.afters.(t.state) in
-    let i = first_enabled_idx t cands in
-    if i < 0 then no_step
-    else begin
-      let c = cands.(i) in
-      t.eff_len <- 0;
-      fire t c;
-      run_completions_into t;
-      { Interp.fired = c.t_fired; Interp.effects = effects_list t }
-    end
+    step_of t cands (fire_first t cands)
   end
 
 let timer_request t =
@@ -986,14 +1033,12 @@ let after_min_of prog s = prog.after_min.(s)
 let state_id t = t.state
 let set_state_id t i = t.state <- i
 
-let read_var_id t i =
-  let tag = Bytes.get t.var_t i in
-  if tag = tag_unbound then None else Some (pack_value t.var_v.(i) tag)
+let var_tag t i = Char.code (Bytes.get t.var_t i)
+let var_int t i = t.var_v.(i)
 
-let write_var_id t i value =
-  match value with
-  | None -> Bytes.set t.var_t i tag_unbound
-  | Some v ->
-    let x, tag = unpack_value v in
-    t.var_v.(i) <- x;
-    Bytes.set t.var_t i tag
+let set_var_raw t i ~tag ~value =
+  t.var_v.(i) <- value;
+  Bytes.set t.var_t i (Char.chr tag)
+
+let param_id_of_name prog name = Hashtbl.find_opt prog.param_ids name
+let send_sites prog = Array.copy prog.sites

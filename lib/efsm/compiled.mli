@@ -63,9 +63,10 @@ val timer_request : t -> int option
     The [Interp.step]-returning entry points above materialise the
     fired transition and the effect list per event — fine for tests
     and the model checker, measurable on the simulation hot path.  The
-    [_id] variants below keep the outcome as a boolean and leave the
-    effects in the instance's internal buffer, to be walked in place
-    via {!effect_count} / {!effect_at}. *)
+    [_id]/[_raw] variants below return a boolean ([_id]) or the fired
+    transition's declaration index ([_raw]) and leave the effects in the
+    instance's internal buffer, to be walked in place via
+    {!effect_count} / {!effect_at}. *)
 
 val signal_id : t -> string -> int
 (** Dispatch-table id of [signal] in this machine, [-1] if the machine
@@ -86,7 +87,40 @@ val effect_count : t -> int
 
 val effect_at : t -> int -> Action.effect
 (** The [i]th effect, in execution order; valid below {!effect_count}
-    and only until the next dispatch on this instance. *)
+    and only until the next dispatch on this instance.  {!initial_entry}
+    and {!run_completions} leave their effects in the same buffer. *)
+
+val record_sites : t -> unit
+(** Start recording, for every effect buffered from now on, the send
+    site it came from (see {!effect_site}).  Off by default, so an
+    instance that never reads sites pays nothing for them; idempotent. *)
+
+val effect_site : t -> int -> int
+(** Send-site id ({!send_sites}) of the [i]th effect, [-1] for a
+    compute effect.  Same validity as {!effect_at}, and only for effects
+    buffered after {!record_sites}. *)
+
+val dispatch_raw :
+  t ->
+  sid:int ->
+  pids:int array ->
+  argt:int array ->
+  argv:int array ->
+  off:int ->
+  argc:int ->
+  int
+(** {!dispatch_id} with positional parameters read from int slices:
+    argument [k < min argc (Array.length pids)] binds parameter slot
+    [pids.(k)] ({!param_id_of_name}, [-1] = never read) to tag code
+    [argt.(off + k)] (see {!var_tag}) and value [argv.(off + k)].  The
+    first binding of a slot wins, as with named arguments.  Returns the
+    declaration index (in [Machine.transitions]) of the fired
+    transition, [-1] when none fired; completion transitions chained
+    behind it do not count. *)
+
+val fire_timer_raw : t -> int
+(** {!fire_timer_id} for the current state, returning the fired
+    transition's declaration index like {!dispatch_raw}. *)
 
 val reset : t -> unit
 (** Back to the initial state and initial variable values. *)
@@ -94,7 +128,7 @@ val reset : t -> unit
 (** {2 Introspection and direct state access}
 
     Used by the model checker to encode global states as flat
-    id-indexed vectors.  The persistent cross-step state of an instance
+    id-indexed vectors without boxing a value.  The persistent cross-step state of an instance
     is exactly its state id plus its variable slots — parameter slots,
     loop counters and the effect accumulator are per-step. *)
 
@@ -109,6 +143,15 @@ val signal_id_of_name : program -> string -> int option
 (** Consumed signals only; [None] means a dispatch of this signal is
     discarded without looking at the state. *)
 
+val param_id_of_name : program -> string -> int option
+(** Parameter slot of a name some guard or action reads. *)
+
+type send_site = { s_port : string; s_signal : string; s_argc : int }
+
+val send_sites : program -> send_site array
+(** Every [Send] statement, indexed by the site ids {!effect_site}
+    reports. *)
+
 val after_min_of : program -> int -> int
 (** Earliest [After] delay out of the given state id, [-1] when the
     state has no timer transition (mirrors {!timer_request}). *)
@@ -116,7 +159,12 @@ val after_min_of : program -> int -> int
 val state_id : t -> int
 val set_state_id : t -> int -> unit
 
-val read_var_id : t -> int -> Action.value option
-(** [None] = unbound slot. *)
+val var_tag : t -> int -> int
+(** Tag code of a variable slot: 0 unbound, 1 integer, 2 boolean. *)
 
-val write_var_id : t -> int -> Action.value option -> unit
+val var_int : t -> int -> int
+(** Raw value of a variable slot (0/1 for a boolean); meaningless when
+    the slot is unbound. *)
+
+val set_var_raw : t -> int -> tag:int -> value:int -> unit
+(** Inverse of {!var_tag}/{!var_int}. *)

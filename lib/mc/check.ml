@@ -294,23 +294,24 @@ let render r =
 
 (* A memoised deadlock oracle for {!Lint.Pass.context}: one bounded
    exploration on first use, shared by every cycle the static pass
-   asks about.  Failures (lint often runs on models the checker cannot
-   elaborate) degrade to [Deadlock_unknown] rather than aborting the
-   lint run. *)
+   asks about.  Elaboration failures — the exceptions {!run} reports as
+   [Error]; lint often runs on models the checker cannot elaborate —
+   degrade to [Deadlock_unknown] rather than aborting the lint run. *)
 let deadlock_oracle ?(options = default_options) model =
   let verdict = ref None in
   let explore () =
     match
       let net = Net.build model in
-      Explore.run
-        ~config:{ (config_of options) with Explore.check_overflow = false }
-        net
+      ( net,
+        Explore.run
+          ~config:{ (config_of options) with Explore.check_overflow = false }
+          net )
     with
-    | exception _ -> `Failed
-    | res -> (
+    | exception (Efsm.Action.Type_error _ | Invalid_argument _ | Not_found) ->
+      `Failed
+    | net, res -> (
       match res.Explore.violation with
       | Some (Explore.V_deadlock { members }, _) ->
-        let net = Net.build model in
         `Witness (List.map (fun ix -> net.Net.insts.(ix).Net.path) members)
       | Some (Explore.V_overflow _, _) | None ->
         if res.Explore.stats.Explore.exhausted then

@@ -1,13 +1,17 @@
 (* Explicit-state exploration of the composed EFSM network.
 
-   Global states are flat int vectors: per instance the control-state
-   id and every variable slot (tag + value), then the bounded mailbox
-   contents (signal id + payload), then the remaining exploration
-   budgets.  The *concrete* vector is what successor computation
-   restores from; the *canonical* vector — the same layout with
-   control-irrelevant slots masked to zero ({!Coi}) — keys the visited
-   set, so states differing only in dead counters merge into one
-   representative.
+   Global states are flat int vectors ({!World}): per instance the
+   control-state id and every variable slot (tag + value), then the
+   bounded mailbox contents (signal id + payload), then the remaining
+   exploration budgets.  The *concrete* vector is what successor
+   computation restores from, and the only one stored ({!Visited}).
+   The *canonical* vector — the same layout with control-irrelevant
+   slots masked to zero ({!Coi}) — keys the visited set, so states
+   differing only in dead counters merge into one representative.  It
+   is never stored: a candidate is hashed masked in the encode buffer
+   and compared against the stored concrete vectors under the same
+   mask, which is sound because the mask is a function of structure
+   slots the mask itself never hides.
 
    Budgets make the space finite: per-environment-input injection
    budget, per-instance timer-fire budget, bounded queues, and a hard
@@ -69,12 +73,10 @@ let default_config =
     check_overflow = true;
   }
 
-type step =
+type step = World.step =
   | S_deliver of int  (** instance delivers its queue head *)
   | S_timer of int  (** instance's armed timer fires *)
   | S_inject of int  (** environment input injects its signal *)
-
-type msg = { m_gsig : int; m_args : Efsm.Action.value array }
 
 type violation =
   | V_deadlock of { members : int list }
@@ -102,360 +104,97 @@ type result = {
   caveats : string list;
 }
 
-(* ---- int-array-keyed hash table -------------------------------------- *)
-(* The polymorphic hash only samples a prefix of large arrays; state
-   vectors differ deep inside, so use FNV-1a over every slot. *)
-
-module Key = struct
-  type t = int array
-
-  let equal (a : int array) (b : int array) =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec eq i = i >= n || (a.(i) = b.(i) && eq (i + 1)) in
-    eq 0
-
-  let hash (a : int array) =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to Array.length a - 1 do
-      h := (!h lxor a.(i)) * 0x100000001b3
-    done;
-    !h land max_int
-end
-
-module Tbl = Hashtbl.Make (Key)
-
-(* ---- mutable working state ------------------------------------------- *)
-
-type world = {
-  execs : Efsm.Compiled.t array;
-  queues : msg list array;  (** head = next to deliver *)
-  timer_left : int array;
-  env_left : int array;
-}
-
-(* ---- vector encoding -------------------------------------------------- *)
-
-type enc = { mutable a : int array; mutable n : int }
-
-let enc_create () = { a = Array.make 64 0; n = 0 }
-
-let enc_reset e = e.n <- 0
-
-let push e x =
-  if e.n = Array.length e.a then begin
-    let bigger = Array.make (2 * e.n) 0 in
-    Array.blit e.a 0 bigger 0 e.n;
-    e.a <- bigger
-  end;
-  e.a.(e.n) <- x;
-  e.n <- e.n + 1
-
-let enc_freeze e = Array.sub e.a 0 e.n
-
-let value_code = function
-  | None -> (0, 0)
-  | Some (Efsm.Action.V_int n) -> (1, n)
-  | Some (Efsm.Action.V_bool b) -> (2, if b then 1 else 0)
-
-let value_of_code tag v =
-  match tag with
-  | 0 -> None
-  | 1 -> Some (Efsm.Action.V_int v)
-  | _ -> Some (Efsm.Action.V_bool (v <> 0))
-
-(* [mask = None]: concrete vector.  [mask = Some coi]: canonical key —
-   irrelevant variable and payload slots read as (0, 0). *)
-let encode (net : Net.t) (coi : Coi.t option) w e =
-  enc_reset e;
-  Array.iter
-    (fun (inst : Net.inst) ->
-      let ix = inst.Net.ix in
-      let ex = w.execs.(ix) in
-      push e (Efsm.Compiled.state_id ex);
-      let nv = Efsm.Compiled.n_vars inst.Net.prog in
-      for v = 0 to nv - 1 do
-        let relevant =
-          match coi with
-          | None -> true
-          | Some c -> c.Coi.var_relevant.(ix).(v)
-        in
-        if relevant then begin
-          let tag, value = value_code (Efsm.Compiled.read_var_id ex v) in
-          push e tag;
-          push e value
-        end
-        else begin
-          push e 0;
-          push e 0
-        end
-      done;
-      push e (List.length w.queues.(ix));
-      List.iter
-        (fun m ->
-          push e m.m_gsig;
-          push e (Array.length m.m_args);
-          Array.iteri
-            (fun k v ->
-              let relevant =
-                match coi with
-                | None -> true
-                | Some c ->
-                  let mask = c.Coi.arg_relevant.(ix).(m.m_gsig) in
-                  k < Array.length mask && mask.(k)
-              in
-              if relevant then begin
-                let tag, value = value_code (Some v) in
-                push e tag;
-                push e value
-              end
-              else begin
-                push e 0;
-                push e 0
-              end)
-            m.m_args)
-        w.queues.(ix))
-    net.Net.insts;
-  Array.iter (fun left -> push e left) w.timer_left;
-  Array.iter (fun left -> push e left) w.env_left;
-  enc_freeze e
-
-(* Restore a concrete vector into [w]; inverse of [encode] with no mask. *)
-let decode (net : Net.t) (vec : int array) w =
-  let pos = ref 0 in
-  let next () =
-    let x = vec.(!pos) in
-    incr pos;
-    x
-  in
-  Array.iter
-    (fun (inst : Net.inst) ->
-      let ix = inst.Net.ix in
-      let ex = w.execs.(ix) in
-      Efsm.Compiled.set_state_id ex (next ());
-      let nv = Efsm.Compiled.n_vars inst.Net.prog in
-      for v = 0 to nv - 1 do
-        let tag = next () in
-        let value = next () in
-        Efsm.Compiled.write_var_id ex v (value_of_code tag value)
-      done;
-      let qlen = next () in
-      let q = ref [] in
-      for _ = 1 to qlen do
-        let gsig = next () in
-        let argc = next () in
-        let args =
-          Array.init argc (fun _ ->
-              let tag = next () in
-              let value = next () in
-              match value_of_code tag value with
-              | Some v -> v
-              | None -> Efsm.Action.V_int 0)
-        in
-        q := { m_gsig = gsig; m_args = args } :: !q
-      done;
-      w.queues.(ix) <- List.rev !q)
-    net.Net.insts;
-  for i = 0 to Array.length w.timer_left - 1 do
-    w.timer_left.(i) <- next ()
-  done;
-  for i = 0 to Array.length w.env_left - 1 do
-    w.env_left.(i) <- next ()
-  done
-
-(* ---- step application ------------------------------------------------- *)
-
-exception Overflow of int * int  (** dest instance, gsig *)
-
-(* Route one effect list; enqueues copies per receiving instance. *)
-let route_effects w ~capacity (inst : Net.inst) effects =
-  List.iter
-    (fun effect ->
-      match effect with
-      | Efsm.Action.Eff_compute _ -> ()
-      | Efsm.Action.Eff_send { port; signal; args } -> (
-        match Net.find_route inst ~port ~signal with
-        | None -> ()
-        | Some r ->
-          let args = Array.of_list args in
-          Array.iter
-            (fun dest ->
-              if List.length w.queues.(dest) >= capacity then
-                raise (Overflow (dest, r.Net.rt_gsig));
-              w.queues.(dest) <-
-                w.queues.(dest) @ [ { m_gsig = r.Net.rt_gsig; m_args = args } ])
-            r.Net.rt_dests))
-    effects
-
-(* Execute [step]; returns the machine transition that fired, if any.
-   Raises [Overflow] when an emission exceeds a queue's capacity. *)
-let apply_step (net : Net.t) w ~capacity step =
-  match step with
-  | S_inject e ->
-    let input = net.Net.env_inputs.(e) in
-    let dest = input.Net.ei_target in
-    if List.length w.queues.(dest) >= capacity then
-      raise (Overflow (dest, input.Net.ei_gsig));
-    w.queues.(dest) <-
-      w.queues.(dest)
-      @ [
-          {
-            m_gsig = input.Net.ei_gsig;
-            m_args = Net.canonical_args net input.Net.ei_gsig;
-          };
-        ];
-    w.env_left.(e) <- w.env_left.(e) - 1;
-    None
-  | S_deliver ix -> (
-    let inst = net.Net.insts.(ix) in
-    match w.queues.(ix) with
-    | [] -> invalid_arg "apply_step: empty queue"
-    | m :: rest ->
-      w.queues.(ix) <- rest;
-      let step =
-        Efsm.Compiled.dispatch w.execs.(ix)
-          ~signal:(Net.sig_name net m.m_gsig)
-          ~args:(Net.bind_args net m.m_gsig m.m_args)
-      in
-      route_effects w ~capacity inst step.Efsm.Interp.effects;
-      step.Efsm.Interp.fired)
-  | S_timer ix ->
-    let inst = net.Net.insts.(ix) in
-    let entered = Efsm.Compiled.state w.execs.(ix) in
-    let step = Efsm.Compiled.fire_timer w.execs.(ix) ~entered_state:entered in
-    w.timer_left.(ix) <- w.timer_left.(ix) - 1;
-    route_effects w ~capacity inst step.Efsm.Interp.effects;
-    step.Efsm.Interp.fired
-
 (* ---- enabled steps and the persistent set ----------------------------- *)
+(* Both write {!World} step codes to [buf] and return how many: per
+   instance its delivery then its timer, then the injections. *)
 
-let enabled_steps (net : Net.t) w cfg =
-  let cap = cfg.budget.queue_capacity in
-  let acc = ref [] in
-  for e = Array.length net.Net.env_inputs - 1 downto 0 do
-    if w.env_left.(e) > 0 then acc := S_inject e :: !acc
-  done;
-  for ix = Array.length net.Net.insts - 1 downto 0 do
-    let ex = w.execs.(ix) in
-    if
-      w.timer_left.(ix) > 0
-      && Efsm.Compiled.after_min_of net.Net.insts.(ix).Net.prog
-           (Efsm.Compiled.state_id ex)
-         >= 0
-    then acc := S_timer ix :: !acc;
-    if w.queues.(ix) <> [] then acc := S_deliver ix :: !acc
-  done;
-  ignore cap;
-  !acc
-
-(* The lowest-indexed instance whose every enabled step is silent and
-   whose queue is below capacity; its steps form a persistent set. *)
-let ample (net : Net.t) w cfg =
-  let cap = cfg.budget.queue_capacity in
-  let n = Array.length net.Net.insts in
-  let rec find ix =
-    if ix >= n then None
-    else begin
-      let inst = net.Net.insts.(ix) in
-      let ex = w.execs.(ix) in
-      let s = Efsm.Compiled.state_id ex in
-      let qlen = List.length w.queues.(ix) in
-      let timer_enabled =
-        w.timer_left.(ix) > 0
-        && Efsm.Compiled.after_min_of inst.Net.prog s >= 0
-      in
-      let deliver_enabled = qlen > 0 in
-      if (not deliver_enabled) && not timer_enabled then find (ix + 1)
-      else if qlen >= cap then find (ix + 1)
-      else begin
-        let deliver_ok =
-          (not deliver_enabled)
-          ||
-          match w.queues.(ix) with
-          | m :: _ -> inst.Net.silent_on.(s).(m.m_gsig)
-          | [] -> true
-        in
-        let timer_ok = (not timer_enabled) || inst.Net.silent_after.(s) in
-        if deliver_ok && timer_ok then begin
-          let steps = ref [] in
-          if timer_enabled then steps := [ S_timer ix ];
-          if deliver_enabled then steps := S_deliver ix :: !steps;
-          Some !steps
-        end
-        else find (ix + 1)
-      end
+let enabled_steps (net : Net.t) w buf =
+  let n = ref 0 in
+  for ix = 0 to Net.n_insts net - 1 do
+    if World.queue_length w ix > 0 then begin
+      buf.(!n) <- World.deliver ix;
+      incr n
+    end;
+    if World.timer_enabled w ix then begin
+      buf.(!n) <- World.timer ix;
+      incr n
     end
-  in
-  find 0
+  done;
+  for e = 0 to Array.length net.Net.env_inputs - 1 do
+    if World.env_left w e > 0 then begin
+      buf.(!n) <- World.inject e;
+      incr n
+    end
+  done;
+  !n
+
+(* The steps of the lowest-indexed instance whose every enabled step is
+   silent and whose queue is below capacity — a persistent set — or -1
+   when there is none. *)
+let ample (net : Net.t) w ~capacity buf =
+  let found = ref (-1) and ix = ref 0 in
+  while !found < 0 && !ix < Net.n_insts net do
+    let i = !ix in
+    let inst = net.Net.insts.(i) in
+    let s = World.state_id w i in
+    let qlen = World.queue_length w i in
+    let deliver_enabled = qlen > 0 in
+    let timer_enabled = World.timer_enabled w i in
+    if
+      (deliver_enabled || timer_enabled)
+      && qlen < capacity
+      && ((not deliver_enabled) || inst.Net.silent_on.(s).(World.head_signal w i))
+      && ((not timer_enabled) || inst.Net.silent_after.(s))
+    then begin
+      let k = ref 0 in
+      if deliver_enabled then begin
+        buf.(0) <- World.deliver i;
+        k := 1
+      end;
+      if timer_enabled then begin
+        buf.(!k) <- World.timer i;
+        incr k
+      end;
+      found := !k
+    end;
+    incr ix
+  done;
+  !found
 
 (* ---- the search ------------------------------------------------------- *)
 
+(* Per stored state, beside its vector: the parent, the step code that
+   reached it from there (-1 at the root) and its depth. *)
 type store = {
-  mutable vecs : int array array;
+  visited : Visited.t;
   mutable parents : int array;
-  mutable vias : step array;
+  mutable vias : int array;
   mutable depths : int array;
-  mutable count : int;
 }
 
-let store_create () =
-  {
-    vecs = Array.make 1024 [||];
-    parents = Array.make 1024 (-1);
-    vias = Array.make 1024 (S_deliver (-1));
-    depths = Array.make 1024 0;
-    count = 0;
-  }
-
-let store_add st vec parent via depth =
-  if st.count = Array.length st.vecs then begin
-    let n = 2 * st.count in
-    let grow a init =
-      let b = Array.make n init in
-      Array.blit a 0 b 0 st.count;
+let store_add st ~hash vec n ~parent ~via ~depth =
+  let id = Visited.add st.visited ~hash vec n in
+  if id = Array.length st.parents then begin
+    let grow a =
+      let b = Array.make (2 * id) 0 in
+      Array.blit a 0 b 0 id;
       b
     in
-    st.vecs <- grow st.vecs [||];
-    st.parents <- grow st.parents (-1);
-    st.vias <- grow st.vias (S_deliver (-1));
-    st.depths <- grow st.depths 0
+    st.parents <- grow st.parents;
+    st.vias <- grow st.vias;
+    st.depths <- grow st.depths
   end;
-  let id = st.count in
-  st.vecs.(id) <- vec;
   st.parents.(id) <- parent;
   st.vias.(id) <- via;
   st.depths.(id) <- depth;
-  st.count <- id + 1;
   id
 
 let schedule_to st id extra =
   let rec build id acc =
-    if id <= 0 then acc else build st.parents.(id) (st.vias.(id) :: acc)
+    if id <= 0 then acc
+    else build st.parents.(id) (World.step_of_code st.vias.(id) :: acc)
   in
   build id [] @ extra
-
-let fresh_world (net : Net.t) budget =
-  {
-    execs =
-      Array.map
-        (fun (i : Net.inst) -> Efsm.Compiled.create i.Net.prog)
-        net.Net.insts;
-    queues = Array.make (Net.n_insts net) [];
-    timer_left = Array.make (Net.n_insts net) budget.timer_budget;
-    env_left = Array.make (Array.length net.Net.env_inputs) budget.env_budget;
-  }
-
-(* Initial global state: every instance runs its initial entry actions
-   and completions (instance order), emissions routed. *)
-let init_world (net : Net.t) w ~capacity =
-  Array.iter
-    (fun (inst : Net.inst) ->
-      let ix = inst.Net.ix in
-      let ex = w.execs.(ix) in
-      route_effects w ~capacity inst (Efsm.Compiled.initial_entry ex);
-      route_effects w ~capacity inst (Efsm.Compiled.run_completions ex))
-    net.Net.insts
 
 let caveat_strings (net : Net.t) =
   Array.to_list net.Net.env_inputs
@@ -473,10 +212,21 @@ let run ?(config = default_config) (net : Net.t) =
   let capacity = cfg.budget.queue_capacity in
   let coi = if cfg.coi then Some (Coi.analyse net) else None in
   let net = match coi with Some c -> Coi.apply_caveats net c | None -> net in
-  let store = store_create () in
-  let visited = Tbl.create 4096 in
-  let enc = enc_create () in
-  let w = fresh_world net cfg.budget in
+  let w =
+    World.create ?coi net ~capacity ~timer_budget:cfg.budget.timer_budget
+      ~env_budget:cfg.budget.env_budget
+  in
+  let n_insts = Net.n_insts net in
+  let st =
+    {
+      visited = Visited.create ();
+      parents = Array.make 1024 0;
+      vias = Array.make 1024 0;
+      depths = Array.make 1024 0;
+    }
+  in
+  let cur = ref [||] in
+  let steps = Array.make ((2 * n_insts) + Array.length net.Net.env_inputs) 0 in
   (* coverage marks *)
   let state_seen =
     Array.map
@@ -490,140 +240,138 @@ let run ?(config = default_config) (net : Net.t) =
       net.Net.insts
   in
   let mark_states () =
-    Array.iter
-      (fun (i : Net.inst) ->
-        state_seen.(i.Net.ix).(Efsm.Compiled.state_id w.execs.(i.Net.ix)) <-
-          true)
-      net.Net.insts
+    for ix = 0 to n_insts - 1 do
+      state_seen.(ix).(World.state_id w ix) <- true
+    done
   in
-  let mark_fired ix tr =
-    let trs = net.Net.insts.(ix).Net.transitions in
-    let n = Array.length trs in
-    let rec find k = if k >= n then () else if trs.(k) == tr then tr_fired.(ix).(k) <- true else find (k + 1) in
-    find 0
+  let state_of ix = World.state_id w ix in
+  let queue_empty ix = World.queue_length w ix = 0 in
+  let scratch = Array.make n_insts false in
+  let blocked () =
+    if Net.blocked_into net scratch ~state_of ~queue_empty then
+      Net.members_of scratch
+    else []
   in
   let steps_done = ref 0 in
   let dedup = ref 0 in
   let frontier_peak = ref 0 in
   let truncated = ref false in
   let violation = ref None in
-  (* frontier *)
-  let stack = ref [] in
-  let bfs_q = Queue.create () in
-  let frontier_len = ref 0 in
+  (* frontier: BFS pops states in insertion order, so its frontier is
+     the id range [next, count); DFS keeps a stack *)
+  let next = ref 0 in
+  let stack = ref (Array.make 1024 0) and sp = ref 0 in
   let frontier_push id =
-    (match cfg.order with
-    | Dfs -> stack := id :: !stack
-    | Bfs -> Queue.add id bfs_q);
-    incr frontier_len;
-    if !frontier_len > !frontier_peak then frontier_peak := !frontier_len
+    let len =
+      match cfg.order with
+      | Bfs -> id + 1 - !next
+      | Dfs ->
+        if !sp = Array.length !stack then begin
+          let bigger = Array.make (2 * !sp) 0 in
+          Array.blit !stack 0 bigger 0 !sp;
+          stack := bigger
+        end;
+        !stack.(!sp) <- id;
+        incr sp;
+        !sp
+    in
+    if len > !frontier_peak then frontier_peak := len
   in
   let frontier_pop () =
     match cfg.order with
-    | Dfs -> (
-      match !stack with
-      | [] -> None
-      | id :: rest ->
-        stack := rest;
-        decr frontier_len;
-        Some id)
     | Bfs ->
-      if Queue.is_empty bfs_q then None
+      if !next >= Visited.count st.visited then -1
       else begin
-        decr frontier_len;
-        Some (Queue.take bfs_q)
+        incr next;
+        !next - 1
+      end
+    | Dfs ->
+      if !sp = 0 then -1
+      else begin
+        decr sp;
+        !stack.(!sp)
       end
   in
   (* root *)
   (try
-     init_world net w ~capacity;
+     World.init w;
      mark_states ();
-     let concrete = encode net None w enc in
-     let key = encode net coi w enc in
-     let id = store_add store concrete (-1) (S_deliver (-1)) 0 in
-     Tbl.replace visited key id;
+     let n = World.encode w in
+     let vec = World.vector w in
+     let hash = Visited.hash vec (World.keep w) n in
+     let id = store_add st ~hash vec n ~parent:(-1) ~via:(-1) ~depth:0 in
      frontier_push id;
      if cfg.check_deadlock then begin
-       let members =
-         Net.blocked_set net
-           ~state_of:(fun ix -> Efsm.Compiled.state_id w.execs.(ix))
-           ~queue_empty:(fun ix -> w.queues.(ix) = [])
-       in
+       let members = blocked () in
        if members <> [] then violation := Some (V_deadlock { members }, [])
      end
-   with Overflow (dest, gsig) ->
+   with World.Overflow (dest, gsig) ->
      if cfg.check_overflow then
        violation := Some (V_overflow { dest; gsig }, []));
   let stop = ref (!violation <> None) in
-  while not !stop do
-    match frontier_pop () with
-    | None -> stop := true
-    | Some id ->
-      let vec = store.vecs.(id) in
-      let depth = store.depths.(id) in
-      decode net vec w;
-      let steps =
-        if cfg.por then
-          match ample net w cfg with
-          | Some steps -> steps
-          | None -> enabled_steps net w cfg
-        else enabled_steps net w cfg
-      in
-      let explore_step step =
-        if not !stop then begin
-          decode net vec w;
-          incr steps_done;
-          match apply_step net w ~capacity step with
-          | fired ->
-            (match (step, fired) with
-            | S_deliver ix, Some tr | S_timer ix, Some tr -> mark_fired ix tr
-            | _ -> ());
-            let key = encode net coi w enc in
-            (match Tbl.find_opt visited key with
-            | Some _ -> incr dedup
-            | None ->
-              if store.count >= cfg.budget.max_states then begin
-                truncated := true;
-                stop := true
-              end
-              else if cfg.budget.max_depth > 0 && depth + 1 > cfg.budget.max_depth
-              then truncated := true
-              else begin
-                mark_states ();
-                let concrete = encode net None w enc in
-                let sid = store_add store concrete id step (depth + 1) in
-                Tbl.replace visited (Array.copy key) sid;
-                frontier_push sid;
-                if cfg.check_deadlock then begin
-                  let members =
-                    Net.blocked_set net
-                      ~state_of:(fun ix ->
-                        Efsm.Compiled.state_id w.execs.(ix))
-                      ~queue_empty:(fun ix -> w.queues.(ix) = [])
-                  in
-                  if members <> [] then begin
-                    violation :=
-                      Some (V_deadlock { members }, schedule_to store sid []);
-                    stop := true
-                  end
-                end
-              end)
-          | exception Overflow (dest, gsig) ->
-            if cfg.check_overflow then begin
-              violation :=
-                Some
-                  (V_overflow { dest; gsig }, schedule_to store id [ step ]);
-              stop := true
-            end
+  let explore_step id depth code =
+    incr steps_done;
+    match World.apply w code with
+    | fired ->
+      if fired >= 0 then tr_fired.(code / 3).(fired) <- true;
+      let n = World.encode w in
+      let vec = World.vector w and keep = World.keep w in
+      let hash = Visited.hash vec keep n in
+      if Visited.find st.visited ~hash vec keep n >= 0 then incr dedup
+      else if Visited.count st.visited >= cfg.budget.max_states then begin
+        truncated := true;
+        stop := true
+      end
+      else if cfg.budget.max_depth > 0 && depth + 1 > cfg.budget.max_depth
+      then truncated := true
+      else begin
+        mark_states ();
+        let sid =
+          store_add st ~hash vec n ~parent:id ~via:code ~depth:(depth + 1)
+        in
+        frontier_push sid;
+        if cfg.check_deadlock then begin
+          let members = blocked () in
+          if members <> [] then begin
+            violation := Some (V_deadlock { members }, schedule_to st sid []);
+            stop := true
+          end
         end
+      end
+    | exception World.Overflow (dest, gsig) ->
+      if cfg.check_overflow then begin
+        violation :=
+          Some (V_overflow { dest; gsig }, schedule_to st id [ World.step_of_code code ]);
+        stop := true
+      end
+  in
+  while not !stop do
+    let id = frontier_pop () in
+    if id < 0 then stop := true
+    else begin
+      let len = Visited.length st.visited id in
+      if Array.length !cur < len then cur := Array.make (2 * len) 0;
+      Visited.blit st.visited id !cur;
+      World.decode w !cur;
+      let n =
+        let k = if cfg.por then ample net w ~capacity steps else -1 in
+        if k >= 0 then k else enabled_steps net w steps
       in
-      List.iter explore_step steps
+      let depth = st.depths.(id) in
+      let i = ref 0 in
+      while !i < n && not !stop do
+        (* every step starts from the popped state *)
+        if !i > 0 then World.decode w !cur;
+        explore_step id depth steps.(!i);
+        incr i
+      done
+    end
   done;
   let exhausted =
     (not !truncated) && !violation = None
-    && (match cfg.order with
-       | Dfs -> !stack = []
-       | Bfs -> Queue.is_empty bfs_q)
+    && match cfg.order with
+       | Bfs -> !next >= Visited.count st.visited
+       | Dfs -> !sp = 0
   in
   let unreached_states =
     Array.to_list net.Net.insts
@@ -650,7 +398,7 @@ let run ?(config = default_config) (net : Net.t) =
   {
     stats =
       {
-        states = store.count;
+        states = Visited.count st.visited;
         steps = !steps_done;
         dedup = !dedup;
         frontier_peak = !frontier_peak;

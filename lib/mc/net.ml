@@ -4,9 +4,11 @@
    signal sent through a port, what the environment injects/absorbs);
    this module freezes those answers into integer-indexed tables the
    explorer can consult without allocation: one compiled program per
-   class, one route table per instance, globally interned signal names,
-   and the per-(state, signal) "silent step" and wait-state summaries
-   that partial-order reduction and deadlock detection are built on. *)
+   class, per instance a route per send site and the dispatch id and
+   parameter slots of every global signal, globally interned signal
+   names, and the per-(state, signal) "silent step" and wait-state
+   summaries that partial-order reduction and deadlock detection are
+   built on. *)
 
 type route = {
   rt_port : string;
@@ -41,6 +43,14 @@ type inst = {
   machine : Efsm.Machine.t;
   prog : Efsm.Compiled.program;
   routes : (string, route) Hashtbl.t;  (** key: [port ^ "\000" ^ signal] *)
+  site_routes : route option array;
+      (** per send site of [prog] ({!Efsm.Compiled.effect_site}) *)
+  sig_sids : int array;
+      (** per global signal: its {!Efsm.Compiled.signal_id} in [prog],
+          -1 when this machine never consumes it *)
+  sig_pids : int array array;
+      (** per global signal: the parameter slot in [prog] of each
+          positional parameter, -1 when no guard or action reads it *)
   waits : wait option array;  (** per state id *)
   silent_on : bool array array;  (** [state].(gsig): delivery is silent *)
   silent_after : bool array;  (** [state]: the armed timer step is silent *)
@@ -196,6 +206,15 @@ let build model =
              machine;
              prog;
              routes;
+             site_routes =
+               Array.map
+                 (fun (site : Efsm.Compiled.send_site) ->
+                   Hashtbl.find_opt routes
+                     (route_key site.Efsm.Compiled.s_port
+                        site.Efsm.Compiled.s_signal))
+                 (Efsm.Compiled.send_sites prog);
+             sig_sids = [||] (* filled below, once every signal is interned *);
+             sig_pids = [||];
              waits = [||] (* filled below, needs every instance's routes *);
              silent_on = [||];
              silent_after = [||];
@@ -341,7 +360,27 @@ let build model =
       m.Efsm.Machine.states;
     { inst with waits }
   in
-  let insts = Array.map (fun i -> fill_waits (fill_silent i)) insts in
+  (* -- id tables for dispatching a global signal --------------------- *)
+  let sigs = Array.of_list !sigs in
+  let fill_ids inst =
+    let or_none = Option.value ~default:(-1) in
+    {
+      inst with
+      sig_sids =
+        Array.map
+          (fun s -> or_none (Efsm.Compiled.signal_id_of_name inst.prog s.sg_name))
+          sigs;
+      sig_pids =
+        Array.map
+          (fun s ->
+            Array.map
+              (fun (name, _) ->
+                or_none (Efsm.Compiled.param_id_of_name inst.prog name))
+              s.sg_params)
+          sigs;
+    }
+  in
+  let insts = Array.map (fun i -> fill_ids (fill_waits (fill_silent i))) insts in
   (* -- environment inputs -------------------------------------------- *)
   let env_inputs =
     Array.to_list insts
@@ -362,7 +401,7 @@ let build model =
     model;
     network;
     insts;
-    sigs = Array.of_list !sigs;
+    sigs;
     sig_ids;
     env_inputs;
     ix_of_path;
@@ -392,6 +431,17 @@ let find_route inst ~port ~signal =
 
 (* ---- deadlock: blocked-set greatest fixpoint ------------------------- *)
 
+(* Whether some producer of a wait state's triggers is not blocked. *)
+let escapes blocked (w : wait) =
+  let found = ref false in
+  for k = 0 to Array.length w.w_producers - 1 do
+    let producers = w.w_producers.(k) in
+    for j = 0 to Array.length producers - 1 do
+      if not blocked.(producers.(j)) then found := true
+    done
+  done;
+  !found
+
 (* Instances permanently stuck in the given global state: every member
    sits in a wait state with an empty queue, none of its trigger
    signals is environment-injectable, and every machine that could
@@ -399,43 +449,46 @@ let find_route inst ~port ~signal =
    only be woken by a delivery, deliveries come from the environment,
    from in-flight messages (excluded: queues are empty), or from
    producers — and all producers are stuck too.  Greatest fixpoint:
-   start from all candidates and peel off anyone with a live escape. *)
-let blocked_set t ~state_of ~queue_empty =
+   start from all candidates and peel off anyone with a live escape.
+   The fixpoint goes into [blocked] (one slot per instance) and
+   allocates nothing; the result says whether any instance is blocked. *)
+let blocked_into t blocked ~state_of ~queue_empty =
   let n = Array.length t.insts in
-  let blocked = Array.make n false in
-  Array.iter
-    (fun inst ->
-      match inst.waits.(state_of inst.ix) with
-      | Some w when (not w.w_env) && queue_empty inst.ix ->
-        blocked.(inst.ix) <- true
-      | _ -> ())
-    t.insts;
-  let changed = ref true in
+  let any = ref false in
+  for ix = 0 to n - 1 do
+    let b =
+      match t.insts.(ix).waits.(state_of ix) with
+      | Some w -> (not w.w_env) && queue_empty ix
+      | None -> false
+    in
+    blocked.(ix) <- b;
+    if b then any := true
+  done;
+  let changed = ref !any in
   while !changed do
     changed := false;
-    Array.iter
-      (fun inst ->
-        if blocked.(inst.ix) then
-          match inst.waits.(state_of inst.ix) with
-          | None -> ()
-          | Some w ->
-            let escaped =
-              Array.exists
-                (fun producers ->
-                  Array.exists (fun j -> not blocked.(j)) producers)
-                w.w_producers
-            in
-            if escaped then begin
-              blocked.(inst.ix) <- false;
-              changed := true
-            end)
-      t.insts
+    for ix = 0 to n - 1 do
+      if blocked.(ix) then
+        match t.insts.(ix).waits.(state_of ix) with
+        | Some w when escapes blocked w ->
+          blocked.(ix) <- false;
+          changed := true
+        | Some _ | None -> ()
+    done
   done;
+  Array.exists Fun.id blocked
+
+let members_of blocked =
   let members = ref [] in
-  for i = n - 1 downto 0 do
+  for i = Array.length blocked - 1 downto 0 do
     if blocked.(i) then members := i :: !members
   done;
   !members
+
+let blocked_set t ~state_of ~queue_empty =
+  let blocked = Array.make (Array.length t.insts) false in
+  if blocked_into t blocked ~state_of ~queue_empty then members_of blocked
+  else []
 
 (* ---- engine-polymorphic executors ------------------------------------ *)
 (* The explorer always runs the compiled engine (it needs id-level

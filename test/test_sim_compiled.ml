@@ -270,6 +270,14 @@ let pp_outcome = function
       (List.length effects)
   | O_effects effects -> Printf.sprintf "effects=%d" (List.length effects)
 
+(* Position of [tr] in the machine's declaration order. *)
+let decl_index machine tr =
+  let rec find i = function
+    | [] -> -1
+    | t :: rest -> if t == tr then i else find (i + 1) rest
+  in
+  find 0 machine.Machine.transitions
+
 (* Drive both engines through [ops] in lockstep; true iff every step
    agrees.  Stops at the first error (the instance state after an
    exception is unspecified, but the message must match). *)
@@ -306,7 +314,8 @@ let lockstep machine ops =
       | [] -> ()
       | op :: rest ->
         let label = print_op op in
-        if agree label (interp_op ri op) (compiled_op ci op) then begin
+        let outcome = interp_op ri op in
+        if agree label outcome (compiled_op ci op) then begin
           sync label;
           go rest
         end
@@ -336,6 +345,210 @@ let prop_lockstep_hsm =
        QCheck.Gen.(pair gen_hsm_machine gen_ops))
     (fun (machine, ops) ->
       match machine with None -> true | Some m -> lockstep m ops)
+
+(* -- id-level surface ------------------------------------------------- *)
+
+(* Every effect in the buffer names its send site: the site's port,
+   signal and arity match the effect, and compute effects name none. *)
+let sites_match ci =
+  let sites = Compiled.send_sites (Compiled.program ci) in
+  List.for_all
+    (fun k ->
+      match (Compiled.effect_at ci k, Compiled.effect_site ci k) with
+      | Action.Eff_compute _, site -> site = -1
+      | Action.Eff_send { port; signal; args }, site ->
+        site >= 0
+        &&
+        let s = sites.(site) in
+        s.Compiled.s_port = port && s.Compiled.s_signal = signal
+        && s.Compiled.s_argc = List.length args)
+    (List.init (Compiled.effect_count ci) Fun.id)
+
+let effect_sites machine ops =
+  let ci = Compiled.of_machine machine in
+  Compiled.record_sites ci;
+  let fail label =
+    QCheck.Test.fail_reportf "effect sites disagree after %s\n%s" label
+      (Notation.print_machine machine)
+  in
+  match Compiled.initial_entry ci with
+  | exception Action.Type_error _ -> true
+  | _ ->
+    if not (sites_match ci) then fail "initial entry";
+    let rec go = function
+      | [] -> true
+      | op :: rest -> (
+        match compiled_op ci op with
+        | O_error _ -> true
+        | O_step (None, _) -> go rest
+        | O_step (Some _, _) | O_effects _ ->
+          if not (sites_match ci) then fail (print_op op);
+          go rest)
+    in
+    go ops
+
+let prop_effect_sites =
+  QCheck.Test.make ~name:"effect sites name the sending statement" ~count:300
+    (QCheck.make
+       ~print:(fun (m, ops) ->
+         Notation.print_machine m ^ "\nops: "
+         ^ String.concat "; " (List.map print_op ops))
+       QCheck.Gen.(pair gen_machine gen_ops))
+    (fun (machine, ops) -> effect_sites machine ops)
+
+(* Positional payloads: a signal's parameter names, in order, with a
+   repeated name so first-binding-wins is exercised. *)
+let positional = [ "seq"; "frag"; "seq" ]
+
+let gen_raw_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          let* signal = oneofl [ "go"; "stop"; "tick"; "other" ] in
+          let* n = int_range 0 3 in
+          let* values =
+            list_repeat n
+              (oneof
+                 [
+                   map (fun n -> Action.V_int n) (int_range (-5) 20);
+                   map (fun b -> Action.V_bool b) bool;
+                 ])
+          in
+          return
+            (Op_dispatch
+               (signal, List.combine (List.filteri (fun i _ -> i < n) positional) values))
+        );
+        (1, map (fun valid -> Op_timer valid) bool);
+        (1, return Op_completions);
+      ])
+
+(* [dispatch] on named arguments and [dispatch_raw] on the same values
+   laid out as int slices (at a non-zero offset) must fire the same
+   transition with the same effects and leave the same state; the
+   declaration index [dispatch_raw] and [fire_timer_raw] return must be
+   that of the transition the reference interpreter fired. *)
+let raw_lockstep machine ops =
+  let reference = Interp.create machine in
+  let named = Compiled.of_machine machine in
+  let raw = Compiled.of_machine machine in
+  let prog = Compiled.program raw in
+  let pids =
+    Array.of_list
+      (List.map
+         (fun name ->
+           Option.value ~default:(-1) (Compiled.param_id_of_name prog name))
+         positional)
+  in
+  let buffer ci = List.init (Compiled.effect_count ci) (Compiled.effect_at ci) in
+  let index = ref None in
+  let step i =
+    index := Some i;
+    if i < 0 then O_step (None, [])
+    else O_step (Some (List.nth machine.Machine.transitions i), buffer raw)
+  in
+  let raw_op op =
+    index := None;
+    catching (fun () ->
+        match op with
+        | Op_dispatch (signal, args) ->
+          let off = 2 in
+          let argt = Array.make (off + 3) 0 and argv = Array.make (off + 3) 0 in
+          List.iteri
+            (fun k (_, value) ->
+              match value with
+              | Action.V_int n ->
+                argt.(off + k) <- 1;
+                argv.(off + k) <- n
+              | Action.V_bool b ->
+                argt.(off + k) <- 2;
+                argv.(off + k) <- (if b then 1 else 0))
+            args;
+          step
+            (Compiled.dispatch_raw raw ~sid:(Compiled.signal_id raw signal) ~pids
+               ~argt ~argv ~off ~argc:(List.length args))
+        | Op_timer true -> step (Compiled.fire_timer_raw raw)
+        | Op_timer false | Op_completions -> compiled_op raw op)
+  in
+  let init_ref = catching (fun () -> O_effects (Interp.initial_entry reference)) in
+  let init_n = catching (fun () -> O_effects (Compiled.initial_entry named)) in
+  let init_r = catching (fun () -> O_effects (Compiled.initial_entry raw)) in
+  let rec go = function
+    | [] -> true
+    | op :: rest ->
+      let r = interp_op reference op in
+      let a = compiled_op named op and b = raw_op op in
+      if a <> b then
+        QCheck.Test.fail_reportf "dispatch_raw diverges on %s:\n  named: %s\n  raw:   %s\n%s"
+          (print_op op) (pp_outcome a) (pp_outcome b)
+          (Notation.print_machine machine);
+      (match (!index, r) with
+      | Some i, O_step (fired, _) ->
+        let expected =
+          match fired with None -> -1 | Some tr -> decl_index machine tr
+        in
+        if i <> expected then
+          QCheck.Test.fail_reportf "fired index %d, reference fired #%d on %s\n%s" i
+            expected (print_op op)
+            (Notation.print_machine machine)
+      | _ -> ());
+      if Compiled.state named <> Compiled.state raw
+         || Compiled.variables named <> Compiled.variables raw
+      then
+        QCheck.Test.fail_reportf "state diverges after %s\n%s" (print_op op)
+          (Notation.print_machine machine);
+      (match a with O_error _ -> true | _ -> go rest)
+  in
+  init_ref = init_n && init_n = init_r
+  && (match init_n with O_error _ -> true | _ -> go ops)
+
+(* One step with twelve sends outgrows the initial effect buffer (eight
+   slots): every effect must still name its site.  The payload repeats
+   [seq] positionally, and its first value must be the one bound. *)
+let test_raw_burst () =
+  let sends =
+    List.init 12 (fun k ->
+        Action.send ~port:(Printf.sprintf "p%d" (k mod 3)) (Printf.sprintf "s%d" k)
+          ~args:[ Action.p "seq" ])
+  in
+  let machine =
+    let open Action in
+    Machine.make ~name:"burst" ~states:[ "a"; "b" ] ~initial:"a"
+      ~variables:[ ("x", V_int 0) ]
+      [
+        Machine.transition ~src:"a" ~dst:"b" (Machine.On_signal "go")
+          ~actions:(assign "x" (p "seq") :: sends);
+      ]
+  in
+  let ci = Compiled.of_machine machine in
+  Compiled.record_sites ci;
+  ignore (Compiled.initial_entry ci);
+  let pids =
+    Array.of_list
+      (List.map
+         (fun name ->
+           Option.value ~default:(-1)
+             (Compiled.param_id_of_name (Compiled.program ci) name))
+         positional)
+  in
+  let fired =
+    Compiled.dispatch_raw ci ~sid:(Compiled.signal_id ci "go") ~pids
+      ~argt:[| 0; 1; 1; 1 |] ~argv:[| 0; 4; 5; 6 |] ~off:1 ~argc:3
+  in
+  check int_t "declaration index" 0 fired;
+  check int_t "effects" 12 (Compiled.effect_count ci);
+  check bool_t "every effect names its site" true (sites_match ci);
+  check bool_t "first binding wins" true
+    (Compiled.read_var ci "x" = Some (Action.V_int 4))
+
+let prop_dispatch_raw =
+  QCheck.Test.make ~name:"dispatch_raw fires like dispatch" ~count:300
+    (QCheck.make
+       ~print:(fun (m, ops) ->
+         Notation.print_machine m ^ "\nops: "
+         ^ String.concat "; " (List.map print_op ops))
+       QCheck.Gen.(pair gen_machine (list_size (int_range 1 25) gen_raw_op)))
+    (fun (machine, ops) -> raw_lockstep machine ops)
 
 (* -- network-level differential -------------------------------------- *)
 
@@ -860,6 +1073,13 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_lockstep_flat;
           QCheck_alcotest.to_alcotest prop_lockstep_hsm;
+        ] );
+      ( "id-level",
+        [
+          QCheck_alcotest.to_alcotest prop_effect_sites;
+          QCheck_alcotest.to_alcotest prop_dispatch_raw;
+          Alcotest.test_case "raw step past the initial buffer" `Quick
+            test_raw_burst;
         ] );
       ("network", [ QCheck_alcotest.to_alcotest prop_network_differential ]);
       ( "scenario",
