@@ -1391,7 +1391,9 @@ let bench_sim () =
    - scale: a 200-terminal, fault-plan-driven fleet must finish inside
      the wall-clock budget with >= 99% of offered frames resolved as
      delivered, cleanly abandoned, or flushed by churn — nothing may
-     wedge on the contended channel. *)
+     wedge on the contended channel.  Its minor words per event are
+     reported too: allocation is deterministic, so CI gates it at the
+     measured value plus a margin on any machine. *)
 let bench_wlan () =
   let wlan_ms =
     match Sys.getenv_opt "TUTBENCH_WLAN_MS" with
@@ -1464,6 +1466,7 @@ let bench_wlan () =
   (* Gate 2: 200 terminals under fire, inside the wall budget, with the
      offered load resolved rather than wedged. *)
   Gc.full_major ();
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let r =
     Tutmac.Wlan.run
@@ -1471,6 +1474,9 @@ let bench_wlan () =
          Sim.Trace.Arena)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
+  let words_per_event =
+    (Gc.minor_words () -. w0) /. float_of_int (max 1 r.Tutmac.Wlan.events)
+  in
   let resolved =
     r.Tutmac.Wlan.delivered + r.Tutmac.Wlan.abandoned + r.Tutmac.Wlan.flushed
   in
@@ -1488,6 +1494,7 @@ let bench_wlan () =
     resolved_rate;
   Printf.printf "  %-28s %10d collisions  %d retries  %.0f events/s\n"
     "channel" r.Tutmac.Wlan.collisions r.Tutmac.Wlan.retries events_per_sec;
+  Printf.printf "  %-28s %10.2f\n" "minor words / event" words_per_event;
   let oc = open_out "BENCH_wlan.json" in
   output_string oc
     (Obs.Json.to_string
@@ -1500,6 +1507,7 @@ let bench_wlan () =
             ("wall_budget_seconds", Obs.Json.Float wall_budget_s);
             ("events", Obs.Json.Int r.Tutmac.Wlan.events);
             ("events_per_sec", Obs.Json.Float events_per_sec);
+            ("minor_words_per_event", Obs.Json.Float words_per_event);
             ("offered", Obs.Json.Int r.Tutmac.Wlan.offered);
             ("delivered", Obs.Json.Int r.Tutmac.Wlan.delivered);
             ("abandoned", Obs.Json.Int r.Tutmac.Wlan.abandoned);

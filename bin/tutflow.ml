@@ -193,7 +193,7 @@ let builder_of config model_file =
     let contents =
       Fun.protect
         ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+        (fun () -> In_channel.input_all ic)
     in
     match
       Xmi.Read.of_string ~profile:Tut_profile.Stereotypes.profile contents

@@ -379,21 +379,26 @@ and run_effects t proc effects k =
 
 (* Buffer-backed twin of [run_effects] for compiled instances: walks
    the VM's effect buffer by index, so a fired transition allocates no
-   effect list and no per-burst closure. *)
+   effect list and no per-burst closure.  Compute bursts are read raw
+   (site [-1], cycles in argument 0); only sends are boxed, for [send]. *)
 and run_effects_c t proc vm i k =
   if i >= Efsm.Compiled.effect_count vm then k ()
-  else
-    match Efsm.Compiled.effect_at vm i with
-    | Efsm.Action.Eff_compute cycles ->
-      proc.eff_idx <- i + 1;
-      proc.eff_k <- k;
-      proc.eff_cycles <- cycles;
-      Sim.Rtos.submit_i proc.sched ~task:proc.decl.Ir.proc_name
-        ~priority:proc.decl.Ir.priority ~flow:proc.current_flow ~cycles
-        proc.eff_cont_b
+  else if Efsm.Compiled.effect_site vm i < 0 then begin
+    let cycles = Efsm.Compiled.effect_arg vm i 0 in
+    proc.eff_idx <- i + 1;
+    proc.eff_k <- k;
+    proc.eff_cycles <- cycles;
+    Sim.Rtos.submit_i proc.sched ~task:proc.decl.Ir.proc_name
+      ~priority:proc.decl.Ir.priority ~flow:proc.current_flow ~cycles
+      proc.eff_cont_b
+  end
+  else begin
+    (match Efsm.Compiled.effect_at vm i with
     | Efsm.Action.Eff_send { port; signal; args } ->
-      send t proc ~port ~signal ~args;
-      run_effects_c t proc vm (i + 1) k
+      send t proc ~port ~signal ~args
+    | Efsm.Action.Eff_compute _ -> assert false);
+    run_effects_c t proc vm (i + 1) k
+  end
 
 (* A send with no binding still needs words/params/a trace id; built on
    the (cold) miss path only. *)

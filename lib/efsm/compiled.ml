@@ -5,9 +5,9 @@
    transition arrays, and guards/actions flattened into a small stack
    bytecode — and then executed over preallocated int arrays.  The hot
    path (dispatching a signal, evaluating guards, running actions)
-   allocates nothing except the values the public API is obliged to
-   return ([Action.effect] lists and their argument values), exactly
-   like the reference interpreter does.
+   allocates nothing: effects land in a flat int buffer and become
+   [Action.effect] values only when the [Interp.step] API asks for
+   them.
 
    Semantics mirror {!Interp} bit for bit, including the exact
    [Action.Type_error] messages, evaluation order (left-to-right
@@ -48,12 +48,12 @@ let op_jz_bool = 19 (* addr; pop, must be bool, jump when false *)
 let op_jnz_bool = 20 (* addr; pop, must be bool, jump when true *)
 let op_check_bool = 21 (* top of stack must be bool *)
 let op_store_var = 22 (* var id *)
-let op_send = 23 (* send-site id *)
+let op_send = 23 (* send-site id, argc *)
 let op_compute = 24
 let op_iter_reset = 25 (* loop counter id *)
 let op_iter_check = 26 (* loop counter id *)
 let op_check_int = 27 (* top of stack must be an int; not popped *)
-let op_compute_const = 28 (* const-effect id; literal positive Compute *)
+let op_compute_const = 28 (* cycles; literal positive Compute *)
 
 type send_site = { s_port : string; s_signal : string; s_argc : int }
 
@@ -91,8 +91,6 @@ type program = {
   param_ids : (string, int) Hashtbl.t;
   signal_ids : (string, int) Hashtbl.t;  (** consumed signals only *)
   sites : send_site array;
-  consts : Action.effect array;
-      (** preallocated [Eff_compute] effects of literal compute costs *)
   (* initial variable values, pre-unpacked: (-1, unbound) for names only
      ever assigned at runtime *)
   var_init_v : int array;
@@ -116,7 +114,6 @@ type emitter = {
   mutable len : int;
   mutable loops : int;
   prog_sites : send_site list ref;
-  prog_consts : Action.effect list ref;
   p_state_ids : (string, int) Hashtbl.t;
   p_var_ids : (string, int) Hashtbl.t;
   p_var_names : string list ref;
@@ -256,20 +253,20 @@ let rec compile_stmt e stmt =
     emit e (var_id e name)
   | Action.Send { port; signal; args } ->
     List.iter (compile_expr e) args;
-    let site = { s_port = port; s_signal = signal; s_argc = List.length args } in
+    let argc = List.length args in
+    let site = { s_port = port; s_signal = signal; s_argc = argc } in
     let id = List.length !(e.prog_sites) in
     e.prog_sites := site :: !(e.prog_sites);
     emit e op_send;
-    emit e id
+    emit e id;
+    emit e argc
   | Action.Compute (Action.Int n) when n >= 0 ->
     (* a literal non-negative cost can neither fail the int check nor
-       the negativity check, so the effect is boxed once at compile
-       time; zero-cost computes emit no effect in the reference either *)
+       the negativity check, so it skips the stack; zero-cost computes
+       emit no effect in the reference either *)
     if n > 0 then begin
-      let id = List.length !(e.prog_consts) in
-      e.prog_consts := Action.Eff_compute n :: !(e.prog_consts);
       emit e op_compute_const;
-      emit e id
+      emit e n
     end
   | Action.Compute expr ->
     compile_expr e expr;
@@ -333,7 +330,6 @@ let compile machine =
       len = 0;
       loops = 0;
       prog_sites = ref [];
-      prog_consts = ref [];
       p_state_ids = Hashtbl.create 16;
       p_var_ids = Hashtbl.create 16;
       p_var_names = ref [];
@@ -468,7 +464,6 @@ let compile machine =
     param_ids = e.p_param_ids;
     signal_ids;
     sites = Array.of_list (List.rev !(e.prog_sites));
-    consts = Array.of_list (List.rev !(e.prog_consts));
     var_init_v;
     var_init_t;
     initial_state = state_id machine.Machine.initial;
@@ -498,15 +493,21 @@ type t = {
   (* evaluation stack *)
   stk_v : int array;
   stk_t : Bytes.t;
-  (* per-step int scratch: the loop counters in [0, n_loops), then,
-     once {!record_sites} has been called, the send-site id of each
-     buffered effect (-1 for a compute effect) from [n_loops] on, so an
-     instance that never records sites allocates nothing for them *)
-  mutable ints : int array;
-  (* effect accumulator for the current step *)
-  mutable eff : Action.effect array;
-  mutable eff_len : int;
+  loops : int array;  (** per-step loop counters *)
+  (* Effect buffer of the current step.  Effect [i] is the pair
+     [fx.(2i)] = send-site id (-1 for a compute effect) and
+     [fx.(2i + 1)] = offset of its arguments in [arg_v]/[arg_t]; a
+     compute effect has one argument, its cycle count.  Nothing is
+     boxed until {!effect_at} asks. *)
+  mutable fx : int array;
+  mutable fx_len : int;
+  mutable arg_v : int array;
+  mutable arg_t : Bytes.t;
+  mutable arg_len : int;
 }
+
+let initial_effects = 8
+let initial_args = 16
 
 let create prog =
   let n_params = Array.length prog.param_names in
@@ -521,9 +522,12 @@ let create prog =
     gen = 0;
     stk_v = Array.make prog.max_stack 0;
     stk_t = Bytes.make prog.max_stack tag_unbound;
-    ints = Array.make prog.n_loops 0;
-    eff = Array.make 8 (Action.Eff_compute 0);
-    eff_len = 0;
+    loops = Array.make prog.n_loops 0;
+    fx = Array.make (2 * initial_effects) 0;
+    fx_len = 0;
+    arg_v = Array.make initial_args 0;
+    arg_t = Bytes.make initial_args tag_unbound;
+    arg_len = 0;
   }
 
 let of_machine machine = create (compile machine)
@@ -550,44 +554,95 @@ let read_var t name =
     let tag = Bytes.get t.var_t i in
     if tag = tag_unbound then None else Some (pack_value t.var_v.(i) tag)
 
+let clear_effects t =
+  t.fx_len <- 0;
+  t.arg_len <- 0
+
 let reset t =
   t.state <- t.prog.initial_state;
   Array.blit t.prog.var_init_v 0 t.var_v 0 (Array.length t.var_v);
   Bytes.blit t.prog.var_init_t 0 t.var_t 0 (Bytes.length t.var_t);
   t.gen <- t.gen + 1;
-  t.eff_len <- 0
+  clear_effects t
 
 (* ---- the VM ---------------------------------------------------------- *)
 
 let type_error fmt = Printf.ksprintf (fun s -> raise (Action.Type_error s)) fmt
 
-let recording t = Array.length t.ints > t.prog.n_loops
+let grow_args t need =
+  let cap = max need (2 * Array.length t.arg_v) in
+  let v = Array.make cap 0 and tags = Bytes.make cap tag_unbound in
+  Array.blit t.arg_v 0 v 0 t.arg_len;
+  Bytes.blit t.arg_t 0 tags 0 t.arg_len;
+  t.arg_v <- v;
+  t.arg_t <- tags
 
-(* Size the site slots of [ints] to the effect buffer. *)
-let resize_sites t =
-  let ints = Array.make (t.prog.n_loops + Array.length t.eff) (-1) in
-  Array.blit t.ints 0 ints 0 (min (Array.length t.ints) (Array.length ints));
-  t.ints <- ints
-
-let record_sites t = if not (recording t) then resize_sites t
-
-let push_effect t effect site =
-  if t.eff_len = Array.length t.eff then begin
-    let bigger = Array.make (2 * t.eff_len) (Action.Eff_compute 0) in
-    Array.blit t.eff 0 bigger 0 t.eff_len;
-    t.eff <- bigger;
-    if recording t then resize_sites t
+(* Append an effect from [site] (-1 = compute) with [argc] argument
+   slots and return the offset of its first slot, for the caller to
+   fill. *)
+let push_effect t site argc =
+  let i = t.fx_len in
+  if 2 * i = Array.length t.fx then begin
+    let bigger = Array.make (4 * i) 0 in
+    Array.blit t.fx 0 bigger 0 (2 * i);
+    t.fx <- bigger
   end;
-  t.eff.(t.eff_len) <- effect;
-  let j = t.prog.n_loops + t.eff_len in
-  if j < Array.length t.ints then t.ints.(j) <- site;
-  t.eff_len <- t.eff_len + 1
+  let off = t.arg_len in
+  if off + argc > Array.length t.arg_v then grow_args t (off + argc);
+  Array.unsafe_set t.fx (2 * i) site;
+  Array.unsafe_set t.fx ((2 * i) + 1) off;
+  t.fx_len <- i + 1;
+  t.arg_len <- off + argc;
+  off
+
+let push_compute t cycles =
+  let off = push_effect t (-1) 1 in
+  Array.unsafe_set t.arg_v off cycles;
+  Bytes.unsafe_set t.arg_t off tag_int
+
+(* ---- reading the effect buffer -------------------------------------- *)
+
+let effect_count t = t.fx_len
+
+let check_effect t i =
+  if i < 0 || i >= t.fx_len then invalid_arg "Efsm.Compiled: no such effect"
+
+let effect_site t i =
+  check_effect t i;
+  Array.unsafe_get t.fx (2 * i)
+
+let effect_argc t i =
+  let site = effect_site t i in
+  if site < 0 then 1 else t.prog.sites.(site).s_argc
+
+(* Buffer offset of argument [k] of effect [i]. *)
+let arg_slot t i k =
+  if k < 0 || k >= effect_argc t i then
+    invalid_arg "Efsm.Compiled: no such effect argument";
+  Array.unsafe_get t.fx ((2 * i) + 1) + k
+
+let effect_arg t i k = Array.unsafe_get t.arg_v (arg_slot t i k)
+let effect_arg_tag t i k = Char.code (Bytes.unsafe_get t.arg_t (arg_slot t i k))
+
+let effect_at t i =
+  let site = effect_site t i in
+  let off = Array.unsafe_get t.fx ((2 * i) + 1) in
+  if site < 0 then Action.Eff_compute t.arg_v.(off)
+  else begin
+    let s = t.prog.sites.(site) in
+    let rec build k acc =
+      if k < 0 then acc
+      else
+        build (k - 1)
+          (pack_value t.arg_v.(off + k) (Bytes.get t.arg_t (off + k)) :: acc)
+    in
+    Action.Eff_send
+      { port = s.s_port; signal = s.s_signal; args = build (s.s_argc - 1) [] }
+  end
 
 let effects_list t =
-  let rec build i acc =
-    if i < 0 then acc else build (i - 1) (t.eff.(i) :: acc)
-  in
-  build (t.eff_len - 1) []
+  let rec build i acc = if i < 0 then acc else build (i - 1) (effect_at t i :: acc) in
+  build (t.fx_len - 1) []
 
 (* Run the program at [pc]; returns the stack depth on RET (1 for
    guards, 0 for action blocks). *)
@@ -770,49 +825,40 @@ let run_prog t pc =
       Bytes.unsafe_set t.var_t i (Bytes.unsafe_get stk_t (sp - 1));
       loop (pc + 2) (sp - 1)
     | 23 (* op_send *) ->
-      let site_id = Array.unsafe_get code (pc + 1) in
-      let site = t.prog.sites.(site_id) in
-      (* arguments were pushed left-to-right: walk the stack top-down,
-         consing, to rebuild them in positional order *)
-      let argc = site.s_argc in
-      let rec build j acc =
-        if j < sp - argc then acc
-        else build (j - 1) (pack_value stk_v.(j) (Bytes.get stk_t j) :: acc)
-      in
-      push_effect t
-        (Action.Eff_send
-           {
-             port = site.s_port;
-             signal = site.s_signal;
-             args = build (sp - 1) [];
-           })
-        site_id;
-      loop (pc + 2) (sp - argc)
+      (* arguments were pushed left-to-right: copy them out in
+         positional order *)
+      let argc = Array.unsafe_get code (pc + 2) in
+      let off = push_effect t (Array.unsafe_get code (pc + 1)) argc in
+      let base = sp - argc in
+      let arg_v = t.arg_v and arg_t = t.arg_t in
+      for k = 0 to argc - 1 do
+        Array.unsafe_set arg_v (off + k) (Array.unsafe_get stk_v (base + k));
+        Bytes.unsafe_set arg_t (off + k) (Bytes.unsafe_get stk_t (base + k))
+      done;
+      loop (pc + 3) base
     | 24 (* op_compute *) ->
       if Bytes.unsafe_get stk_t (sp - 1) <> tag_int then
         type_error "expected an integer";
       let cycles = Array.unsafe_get stk_v (sp - 1) in
       if cycles < 0 then type_error "negative computation cost";
-      if cycles > 0 then push_effect t (Action.Eff_compute cycles) (-1);
+      if cycles > 0 then push_compute t cycles;
       loop (pc + 1) (sp - 1)
     | 25 (* op_iter_reset *) ->
-      Array.unsafe_set t.ints (Array.unsafe_get code (pc + 1)) 0;
+      Array.unsafe_set t.loops (Array.unsafe_get code (pc + 1)) 0;
       loop (pc + 2) sp
     | 26 (* op_iter_check *) ->
       let k = Array.unsafe_get code (pc + 1) in
-      let count = Array.unsafe_get t.ints k in
+      let count = Array.unsafe_get t.loops k in
       if count > Action.max_loop_iterations then
         type_error "loop exceeded %d iterations" Action.max_loop_iterations;
-      Array.unsafe_set t.ints k (count + 1);
+      Array.unsafe_set t.loops k (count + 1);
       loop (pc + 2) sp
     | 27 (* op_check_int *) ->
       if Bytes.unsafe_get stk_t (sp - 1) <> tag_int then
         type_error "expected an integer";
       loop (pc + 1) sp
     | 28 (* op_compute_const *) ->
-      push_effect t
-        (Array.unsafe_get t.prog.consts (Array.unsafe_get code (pc + 1)))
-        (-1);
+      push_compute t (Array.unsafe_get code (pc + 1));
       loop (pc + 2) sp
     | _ -> assert false
   in
@@ -907,7 +953,7 @@ let run_completions_into t =
 let fire_first t cands =
   let i = first_enabled_idx t cands in
   if i >= 0 then begin
-    t.eff_len <- 0;
+    clear_effects t;
     fire t cands.(i);
     run_completions_into t
   end;
@@ -978,10 +1024,6 @@ let fire_timer_raw t =
   let cands = t.prog.afters.(t.state) in
   fired_index cands (fire_first t cands)
 
-let effect_count t = t.eff_len
-let effect_at t i = t.eff.(i)
-let effect_site t i = t.ints.(t.prog.n_loops + i)
-
 let fire_timer t ~entered_state =
   if t.prog.state_names.(t.state) <> entered_state then no_step
   else begin
@@ -996,12 +1038,12 @@ let timer_request t =
 
 let initial_entry t =
   clear_params t;
-  t.eff_len <- 0;
+  clear_effects t;
   run_block t t.prog.entry_pc.(t.prog.initial_state);
   effects_list t
 
 let run_completions t =
-  t.eff_len <- 0;
+  clear_effects t;
   run_completions_into t;
   effects_list t
 

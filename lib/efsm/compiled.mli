@@ -5,8 +5,9 @@
     per-(state, signal) candidate transition arrays in declaration
     order, and guards/actions flattened into a small stack bytecode
     executed over preallocated arrays.  An instance ({!t}) then steps
-    without allocating on the hot path, except for the [Action.effect]
-    lists the API is obliged to return.
+    without allocating: effects go to a flat int buffer, and only the
+    [Interp.step]-returning entry points box them as [Action.effect]
+    lists.
 
     Observable behaviour is bit-identical to {!Interp} — same firing
     choices, same effect order, same [Action.Type_error] messages in the
@@ -62,11 +63,15 @@ val timer_request : t -> int option
 
     The [Interp.step]-returning entry points above materialise the
     fired transition and the effect list per event — fine for tests
-    and the model checker, measurable on the simulation hot path.  The
-    [_id]/[_raw] variants below return a boolean ([_id]) or the fired
-    transition's declaration index ([_raw]) and leave the effects in the
-    instance's internal buffer, to be walked in place via
-    {!effect_count} / {!effect_at}. *)
+    and replay, measurable on the simulation hot path.  The [_id]/[_raw]
+    variants below return a boolean ([_id]) or the fired transition's
+    declaration index ([_raw]) and leave the effects in the instance's
+    buffer.  Effect [i] is read there without allocating through
+    {!effect_site}, {!effect_argc}, {!effect_arg} and {!effect_arg_tag};
+    {!effect_at} boxes it.  Every reader is valid below {!effect_count}
+    (raising [Invalid_argument] otherwise) and only until the next
+    dispatch, {!initial_entry}, {!run_completions} or {!reset} on this
+    instance, all of which refill the same buffer. *)
 
 val signal_id : t -> string -> int
 (** Dispatch-table id of [signal] in this machine, [-1] if the machine
@@ -86,19 +91,24 @@ val effect_count : t -> int
 (** Number of effects produced by the last fired [_id] dispatch. *)
 
 val effect_at : t -> int -> Action.effect
-(** The [i]th effect, in execution order; valid below {!effect_count}
-    and only until the next dispatch on this instance.  {!initial_entry}
-    and {!run_completions} leave their effects in the same buffer. *)
-
-val record_sites : t -> unit
-(** Start recording, for every effect buffered from now on, the send
-    site it came from (see {!effect_site}).  Off by default, so an
-    instance that never reads sites pays nothing for them; idempotent. *)
+(** The [i]th effect, in execution order, as the [Interp.step] API
+    returns it (allocated on every call). *)
 
 val effect_site : t -> int -> int
 (** Send-site id ({!send_sites}) of the [i]th effect, [-1] for a
-    compute effect.  Same validity as {!effect_at}, and only for effects
-    buffered after {!record_sites}. *)
+    compute effect. *)
+
+val effect_argc : t -> int -> int
+(** Argument count of the [i]th effect: its site's [s_argc] for a send,
+    [1] for a compute effect (whose one argument is its cycle count). *)
+
+val effect_arg : t -> int -> int -> int
+(** [effect_arg t i k] is the raw value of argument [k] of the [i]th
+    effect (0/1 for a boolean), like {!var_int}.  Raises
+    [Invalid_argument] unless [0 <= k < effect_argc t i]. *)
+
+val effect_arg_tag : t -> int -> int -> int
+(** Tag code of argument [k] of the [i]th effect, like {!var_tag}. *)
 
 val dispatch_raw :
   t ->

@@ -6,7 +6,8 @@ type t = {
   streams : Prng.t array;  (* streams.(i) drives plan spec i *)
   chan_seed : int;
       (* base seed for per-(spec, terminal) channel streams *)
-  chan_streams : (int * int, Prng.t) Hashtbl.t;
+  chan_streams : Prng.t option array array;
+      (* [spec].(terminal), rows grown on demand *)
   max_flips : int;  (* max over corrupt specs; 0 when none *)
   stats : Stats.t;
 }
@@ -24,7 +25,7 @@ let create ~plan ~seed =
     flip_seed = Prng.split_seed ~seed ~stream:flip_stream;
     streams = Array.init (Array.length specs) (fun i -> Prng.split ~seed ~stream:i);
     chan_seed = Prng.split_seed ~seed ~stream:chan_stream;
-    chan_streams = Hashtbl.create 64;
+    chan_streams = Array.make (Array.length specs) [||];
     max_flips =
       Array.fold_left
         (fun acc spec ->
@@ -39,7 +40,8 @@ let create ~plan ~seed =
    lazy creation order cannot matter; draws within a stream happen in
    simulated-event order by a single-threaded simulation. *)
 let chan_rng t ~spec ~terminal =
-  match Hashtbl.find_opt t.chan_streams (spec, terminal) with
+  let row = t.chan_streams.(spec) in
+  match if terminal < Array.length row then row.(terminal) else None with
   | Some rng -> rng
   | None ->
     let rng =
@@ -47,7 +49,16 @@ let chan_rng t ~spec ~terminal =
         ~seed:(Prng.split_seed ~seed:t.chan_seed ~stream:spec)
         ~stream:terminal
     in
-    Hashtbl.add t.chan_streams (spec, terminal) rng;
+    let row =
+      if terminal < Array.length row then row
+      else begin
+        let bigger = Array.make (max (terminal + 1) (2 * Array.length row)) None in
+        Array.blit row 0 bigger 0 (Array.length row);
+        t.chan_streams.(spec) <- bigger;
+        bigger
+      end
+    in
+    row.(terminal) <- Some rng;
     rng
 
 let active t = not (Plan.is_empty t.plan)

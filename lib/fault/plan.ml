@@ -372,7 +372,7 @@ let of_file path =
     let contents =
       Fun.protect
         ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+        (fun () -> In_channel.input_all ic)
     in
     Result.map_error (fun e -> Printf.sprintf "%s: %s" path e)
       (of_json_string contents)

@@ -106,12 +106,7 @@ let create ?coi (net : Net.t) ~capacity ~timer_budget ~env_budget =
   {
     net;
     execs =
-      Array.map
-        (fun (i : Net.inst) ->
-          let ex = Efsm.Compiled.create i.Net.prog in
-          Efsm.Compiled.record_sites ex;
-          ex)
-        net.Net.insts;
+      Array.map (fun (i : Net.inst) -> Efsm.Compiled.create i.Net.prog) net.Net.insts;
     n_vars;
     rings = Array.init n (fun _ -> new_ring width (max 1 (min capacity 4)));
     timer_left = Array.make n timer_budget;
@@ -146,18 +141,6 @@ let push_slot w dest gsig =
   r.len <- r.len + 1;
   slot
 
-(* Write effect argument values from [base + k]; returns the count. *)
-let rec put_args r base k = function
-  | [] -> k
-  | Efsm.Action.V_int n :: rest ->
-    r.tags.(base + k) <- 1;
-    r.vals.(base + k) <- n;
-    put_args r base (k + 1) rest
-  | Efsm.Action.V_bool b :: rest ->
-    r.tags.(base + k) <- 2;
-    r.vals.(base + k) <- (if b then 1 else 0);
-    put_args r base (k + 1) rest
-
 (* Route the effects instance [ix] left in its VM's buffer, by send
    site, enqueueing a copy per receiving instance. *)
 let route w ix =
@@ -166,16 +149,22 @@ let route w ix =
   for k = 0 to Efsm.Compiled.effect_count ex - 1 do
     let site = Efsm.Compiled.effect_site ex k in
     if site >= 0 then
-      match (routes.(site), Efsm.Compiled.effect_at ex k) with
-      | Some r, Efsm.Action.Eff_send { args; _ } ->
+      match routes.(site) with
+      | Some r ->
+        let argc = Efsm.Compiled.effect_argc ex k in
         let dests = r.Net.rt_dests in
         for d = 0 to Array.length dests - 1 do
           let dest = dests.(d) in
           let slot = push_slot w dest r.Net.rt_gsig in
           let ring = w.rings.(dest) in
-          ring.argcs.(slot) <- put_args ring (slot * w.width) 0 args
+          let base = slot * w.width in
+          for a = 0 to argc - 1 do
+            ring.tags.(base + a) <- Efsm.Compiled.effect_arg_tag ex k a;
+            ring.vals.(base + a) <- Efsm.Compiled.effect_arg ex k a
+          done;
+          ring.argcs.(slot) <- argc
         done
-      | None, _ | _, Efsm.Action.Eff_compute _ -> ()
+      | None -> ()
   done
 
 let init w =

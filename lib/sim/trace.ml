@@ -28,10 +28,12 @@ type event =
 
 type backend = Arena | List
 
-(* Event kinds, one per log-line letter.  The arena is a struct-of-
-   arrays: one int column per field slot, a byte per kind, string
-   fields replaced by interned ids.  Appending is therefore a handful
-   of array stores — no per-event heap record — and the textual line is
+(* Event kinds, one per log-line letter.  The arena stores one row per
+   event: seven native ints (kind, time, f0..f4) of 8 bytes each, string
+   fields replaced by interned ids.  Rows live in fixed-size [Bytes]
+   chunks hung off a growable spine: appending is a handful of unboxed
+   stores, never copies an earlier row, and — [Bytes] holding no
+   pointers — the collector never scans the log.  The textual line is
    only rendered when someone asks for it. *)
 let k_exec = 0
 let k_signal = 1
@@ -41,6 +43,18 @@ let k_fault = 4
 let k_retransmit = 5
 let k_flow = 6
 
+let row_bytes = 7 * 8
+let chunk_shift = 13
+let chunk_rows = 1 lsl chunk_shift (* 8,192 rows, 448 KiB per chunk *)
+let chunk_mask = chunk_rows - 1
+
+(* Native-endian 8-byte slots: the arena is never shared across hosts. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] slot b off = Int64.to_int (get64 b off)
+let[@inline] set_slot b off v = set64 b off (Int64.of_int v)
+
 type t = {
   backend : backend;
   (* String interning, shared by both backends so ids handed out by
@@ -48,16 +62,12 @@ type t = {
   tbl : (string, int) Hashtbl.t;
   mutable strs : string array;
   mutable nstrs : int;
-  (* Arena columns.  [time] doubles as the capacity witness; [f0..f4]
-     hold per-kind fields (ids, counts, durations) as plain ints. *)
+  (* Arena: row [i] sits in [chunks.(i lsr chunk_shift)] at byte
+     [(i land chunk_mask) * row_bytes].  Chunks are allocated on the
+     first push into them and kept across {!clear}. *)
   mutable n : int;
-  mutable kind : Bytes.t;
-  mutable time : int array;
-  mutable f0 : int array;
-  mutable f1 : int array;
-  mutable f2 : int array;
-  mutable f3 : int array;
-  mutable f4 : int array;
+  mutable chunks : Bytes.t array;
+  mutable nchunks : int;
   (* Rare int64 values outside the native-int range keep full fidelity
      here, keyed by event index; checked only when non-empty. *)
   overflow : (int, event) Hashtbl.t;
@@ -66,23 +76,15 @@ type t = {
   mutable list_len : int;
 }
 
-let initial_capacity = 256
-
 let create ?(backend = Arena) () =
-  let cap = match backend with Arena -> initial_capacity | List -> 0 in
   {
     backend;
     tbl = Hashtbl.create 64;
     strs = Array.make 64 "";
     nstrs = 0;
     n = 0;
-    kind = Bytes.make cap '\000';
-    time = Array.make cap 0;
-    f0 = Array.make cap 0;
-    f1 = Array.make cap 0;
-    f2 = Array.make cap 0;
-    f3 = Array.make cap 0;
-    f4 = Array.make cap 0;
+    chunks = [||];
+    nchunks = 0;
     overflow = Hashtbl.create 1;
     events_rev = [];
     list_len = 0;
@@ -107,35 +109,37 @@ let intern t s =
 
 let interned t id = t.strs.(id)
 
-let grow t =
-  let cap = Array.length t.time in
-  let cap' = if cap = 0 then initial_capacity else 2 * cap in
-  let extend a =
-    let a' = Array.make cap' 0 in
-    Array.blit a 0 a' 0 cap;
-    a'
-  in
-  let kind' = Bytes.make cap' '\000' in
-  Bytes.blit t.kind 0 kind' 0 cap;
-  t.kind <- kind';
-  t.time <- extend t.time;
-  t.f0 <- extend t.f0;
-  t.f1 <- extend t.f1;
-  t.f2 <- extend t.f2;
-  t.f3 <- extend t.f3;
-  t.f4 <- extend t.f4
+(* Row [t.n] starts a chunk that has not been allocated yet: hang a new
+   one off the spine (doubling the spine, which holds only pointers). *)
+let add_chunk t =
+  if t.nchunks = Array.length t.chunks then begin
+    let spine = Array.make (max 4 (2 * t.nchunks)) Bytes.empty in
+    Array.blit t.chunks 0 spine 0 t.nchunks;
+    t.chunks <- spine
+  end;
+  t.chunks.(t.nchunks) <- Bytes.create (chunk_rows * row_bytes);
+  t.nchunks <- t.nchunks + 1
 
 let[@inline] push t k time f0 f1 f2 f3 f4 =
-  if t.n = Array.length t.time then grow t;
   let i = t.n in
-  Bytes.unsafe_set t.kind i (Char.unsafe_chr k);
-  Array.unsafe_set t.time i time;
-  Array.unsafe_set t.f0 i f0;
-  Array.unsafe_set t.f1 i f1;
-  Array.unsafe_set t.f2 i f2;
-  Array.unsafe_set t.f3 i f3;
-  Array.unsafe_set t.f4 i f4;
+  let c = i lsr chunk_shift in
+  if c = t.nchunks then add_chunk t;
+  let b = Array.unsafe_get t.chunks c in
+  let o = (i land chunk_mask) * row_bytes in
+  set_slot b o k;
+  set_slot b (o + 8) time;
+  set_slot b (o + 16) f0;
+  set_slot b (o + 24) f1;
+  set_slot b (o + 32) f2;
+  set_slot b (o + 40) f3;
+  set_slot b (o + 48) f4;
   t.n <- i + 1
+
+(* Slot [s] (0 = kind, 1 = time, 2.. = f0..f4) of row [i]. *)
+let[@inline] field t i s =
+  slot
+    (Array.unsafe_get t.chunks (i lsr chunk_shift))
+    (((i land chunk_mask) * row_bytes) + (8 * s))
 
 let fits x = Int64.equal (Int64.of_int (Int64.to_int x)) x
 
@@ -234,6 +238,19 @@ let record_discard t ~time ~process ~signal =
            signal = interned t signal;
          })
 
+let record_fault t ~time ~kind ~target ~info =
+  match t.backend with
+  | Arena -> push t k_fault time kind target info 0 0
+  | List ->
+    record t
+      (Fault
+         {
+           time = Int64.of_int time;
+           kind = interned t kind;
+           target = interned t target;
+           info = interned t info;
+         })
+
 let record_retransmit t ~time ~sender ~receiver ~signal ~attempt =
   match t.backend with
   | Arena -> push t k_retransmit time sender receiver signal attempt 0
@@ -271,14 +288,16 @@ let clear t =
   t.list_len <- 0
 
 (* Decoding an arena row back into the [event] view. *)
-let decode_cols t i =
+let decode_row t i =
   let s id = Array.unsafe_get t.strs id in
-  let time = Int64.of_int (Array.unsafe_get t.time i) in
-  let f0 = Array.unsafe_get t.f0 i in
-  let f1 = Array.unsafe_get t.f1 i in
-  let f2 = Array.unsafe_get t.f2 i in
-  let f3 = Array.unsafe_get t.f3 i in
-  match Char.code (Bytes.unsafe_get t.kind i) with
+  let b = Array.unsafe_get t.chunks (i lsr chunk_shift) in
+  let o = (i land chunk_mask) * row_bytes in
+  let time = Int64.of_int (slot b (o + 8)) in
+  let f0 = slot b (o + 16) in
+  let f1 = slot b (o + 24) in
+  let f2 = slot b (o + 32) in
+  let f3 = slot b (o + 40) in
+  match slot b o with
   | 0 -> Exec { time; process = s f0; cycles = Int64.of_int f1 }
   | 1 ->
     Signal
@@ -288,7 +307,7 @@ let decode_cols t i =
         receiver = s f1;
         signal = s f2;
         words = f3;
-        tag = Array.unsafe_get t.f4 i;
+        tag = slot b (o + 48);
       }
   | 2 -> State_change { time; process = s f0; from_ = s f1; to_ = s f2 }
   | 3 -> Discard { time; process = s f0; signal = s f1 }
@@ -300,11 +319,11 @@ let decode_cols t i =
     Flow_hop { time; flow = f0; stage = s f1; where_ = s f2; dur = Int64.of_int f3 }
 
 let get_arena t i =
-  if Hashtbl.length t.overflow = 0 then decode_cols t i
+  if Hashtbl.length t.overflow = 0 then decode_row t i
   else
     match Hashtbl.find_opt t.overflow i with
     | Some event -> event
-    | None -> decode_cols t i
+    | None -> decode_row t i
 
 let iter t f =
   match t.backend with
@@ -338,7 +357,7 @@ let get t i =
     if i < 0 || i >= t.list_len then invalid_arg "Sim.Trace.get";
     List.nth (List.rev t.events_rev) i
 
-(* The aggregations below have two implementations: a column scan over
+(* The aggregations below have two implementations: a row scan over
    the arena (no per-event decode, accumulators indexed by interned id)
    and a generic [iter]-based fallback used by the list backend and by
    arenas holding out-of-range int64 rows (the overflow table keeps the
@@ -365,9 +384,9 @@ let total_cycles t =
     let cycles = Array.make (max 1 t.nstrs) 0 in
     let seen = Array.make (max 1 t.nstrs) false in
     for i = 0 to t.n - 1 do
-      if Bytes.unsafe_get t.kind i = '\000' (* k_exec *) then begin
-        let id = Array.unsafe_get t.f0 i in
-        cycles.(id) <- cycles.(id) + Array.unsafe_get t.f1 i;
+      if field t i 0 = k_exec then begin
+        let id = field t i 2 in
+        cycles.(id) <- cycles.(id) + field t i 3;
         seen.(id) <- true
       end
     done;
@@ -400,8 +419,8 @@ let signal_counts t =
     let m = max 1 t.nstrs in
     let table = Hashtbl.create 16 in
     for i = 0 to t.n - 1 do
-      if Bytes.unsafe_get t.kind i = '\001' (* k_signal *) then begin
-        let key = (Array.unsafe_get t.f0 i * m) + Array.unsafe_get t.f1 i in
+      if field t i 0 = k_signal then begin
+        let key = (field t i 2 * m) + field t i 3 in
         match Hashtbl.find table key with
         | r -> incr r
         | exception Not_found -> Hashtbl.add table key (ref 1)
@@ -418,8 +437,8 @@ let discard_counts t =
   | Arena when Hashtbl.length t.overflow = 0 ->
     let counts = Array.make (max 1 t.nstrs) 0 in
     for i = 0 to t.n - 1 do
-      if Bytes.unsafe_get t.kind i = '\003' (* k_discard *) then begin
-        let id = Array.unsafe_get t.f0 i in
+      if field t i 0 = k_discard then begin
+        let id = field t i 2 in
         counts.(id) <- counts.(id) + 1
       end
     done;

@@ -62,10 +62,12 @@ type t
 
 type backend =
   | Arena
-      (** Struct-of-arrays store: int columns plus a string-interning
-          table.  [record] is an (amortised) allocation-free append of
-          interned ids; the textual lines are rendered lazily at
-          {!save} / {!to_lines} time.  The default. *)
+      (** Off-heap row store: fixed-size [Bytes] chunks of seven native
+          ints per event plus a string-interning table.  [record] is an
+          allocation-free append of interned ids that never copies an
+          earlier row, and the collector never scans the log; the
+          textual lines are rendered lazily at {!save} / {!to_lines}
+          time.  The default. *)
   | List  (** Legacy store: one heap-allocated {!event} per record. *)
 
 val create : ?backend:backend -> unit -> t
@@ -105,6 +107,10 @@ val record_state_change :
 
 val record_discard : t -> time:int -> process:int -> signal:int -> unit
 
+val record_fault : t -> time:int -> kind:int -> target:int -> info:int -> unit
+(** [info] is the id of the detail token; {!event_to_line} renders an
+    empty one as ["-"]. *)
+
 val record_retransmit :
   t -> time:int -> sender:int -> receiver:int -> signal:int -> attempt:int -> unit
 
@@ -138,7 +144,7 @@ val signal_counts : t -> ((string * string) * int) list
 
 val discard_counts : t -> (string * int) list
 (** Discarded-signal counts per process, sorted by process name.  Like
-    {!total_cycles} / {!signal_counts}, a column scan on the {!Arena}
+    {!total_cycles} / {!signal_counts}, a row scan on the {!Arena}
     backend — no per-event decoding. *)
 
 val event_to_line : event -> string

@@ -241,24 +241,96 @@ let mac_machine ~max_retries ~cw_min ~cw_max =
           ];
     ]
 
-(* ---- engine duality ------------------------------------------------ *)
+(* ---- the MAC as the fleet hosts it ---------------------------------- *)
 
-type exec = Ref of Efsm.Interp.t | Comp of Efsm.Compiled.t
+(* Input signals by host id (the [g_*] constants index [inputs]), with
+   their positional parameters. *)
+let g_frame = 0
+let g_txok = 1
+let g_txfail = 2
+let g_rx = 3
+let g_leave = 4
+let g_join = 5
 
-let exec_dispatch e ~signal ~args =
-  match e with
-  | Ref t -> Efsm.Interp.dispatch t ~signal ~args
-  | Comp t -> Efsm.Compiled.dispatch t ~signal ~args
+let inputs =
+  [|
+    (sig_frame, [| "seq"; "frags" |]);
+    (sig_txok, [||]);
+    (sig_txfail, [||]);
+    (sig_rx, [| "seq"; "frag"; "last" |]);
+    (sig_leave, [||]);
+    (sig_join, [||]);
+  |]
 
-let exec_state = function
-  | Ref t -> Efsm.Interp.state t
-  | Comp t -> Efsm.Compiled.state t
+(* What the host does with one MAC effect; both engines feed the same
+   handler with a kind and the first two integer arguments. *)
+type effect_kind = Compute | Tx_req | Backoff | Drop | Done | Deliver | Ignored
+
+let kind_of_signal signal =
+  if String.equal signal sig_txreq then Tx_req
+  else if String.equal signal sig_backoff then Backoff
+  else if String.equal signal sig_drop then Drop
+  else if String.equal signal sig_done then Done
+  else if String.equal signal sig_deliver then Deliver
+  else Ignored
+
+(* Per-program dispatch tables of the compiled engine. *)
+type tables = {
+  sids : int array;  (** [gsig] -> signal id, -1 = discarded *)
+  pids : int array array;  (** [gsig] -> parameter slot per position *)
+  site_kind : effect_kind array;  (** send site -> handler *)
+  state_tid : int array;  (** state id -> interned trace id *)
+}
+
+(* A compiled MAC carries its program's tables (shared by the fleet). *)
+type exec = Ref of Efsm.Interp.t | Comp of Efsm.Compiled.t * tables
+
+let tables_of prog trace =
+  let or_none = Option.value ~default:(-1) in
+  {
+    sids =
+      Array.map
+        (fun (name, _) -> or_none (Efsm.Compiled.signal_id_of_name prog name))
+        inputs;
+    pids =
+      Array.map
+        (fun (_, params) ->
+          Array.map
+            (fun p -> or_none (Efsm.Compiled.param_id_of_name prog p))
+            params)
+        inputs;
+    site_kind =
+      Array.map
+        (fun (site : Efsm.Compiled.send_site) ->
+          kind_of_signal site.Efsm.Compiled.s_signal)
+        (Efsm.Compiled.send_sites prog);
+    state_tid =
+      Array.init (Efsm.Compiled.n_states prog) (fun i ->
+          Sim.Trace.intern trace (Efsm.Compiled.state_name_of_id prog i));
+  }
+
+(* Named arguments of input [gsig] for the reference interpreter. *)
+let named_args gsig a0 a1 a2 =
+  List.mapi
+    (fun k name ->
+      (name, Efsm.Action.V_int (match k with 0 -> a0 | 1 -> a1 | _ -> a2)))
+    (Array.to_list (snd inputs.(gsig)))
+
+(* Argument [k] of a boxed effect, raw like [Efsm.Compiled.effect_arg]. *)
+let rec raw_arg k = function
+  | [] -> 0
+  | value :: rest ->
+    if k > 0 then raw_arg (k - 1) rest
+    else (
+      match value with
+      | Efsm.Action.V_int x -> x
+      | Efsm.Action.V_bool b -> if b then 1 else 0)
 
 let exec_var e name =
   let value =
     match e with
     | Ref t -> Efsm.Interp.read_var t name
-    | Comp t -> Efsm.Compiled.read_var t name
+    | Comp (t, _) -> Efsm.Compiled.read_var t name
   in
   match value with Some (Efsm.Action.V_int n) -> n | _ -> 0
 
@@ -277,7 +349,6 @@ type frame = {
 
 type terminal = {
   id : int;
-  name : string;
   name_id : int;  (* interned in the trace *)
   profile : Workload.profile;
   class_name : string;
@@ -291,6 +362,8 @@ type terminal = {
   mutable att_frag : int;
   queue : frame Queue.t;
   mutable pending_tx : Sim.Engine.handle;
+  mutable attempt_fn : unit -> unit;  (* built once: no closure per event *)
+  mutable arrival_fn : unit -> unit;
   mutable burst_until : int;
   mutable burst_left : int;  (* bursty profile: frames left in burst *)
   mutable vframe : int;  (* video profile: frame counter *)
@@ -445,38 +518,42 @@ let run ?(obs = Obs.Scope.null ()) config =
   (* Interned names for the hot-path trace appenders. *)
   let id_env = Sim.Trace.intern trace "wl_env"
   and id_chan = Sim.Trace.intern trace "chan"
-  and id_frame_sig = Sim.Trace.intern trace sig_frame
   and id_txreq = Sim.Trace.intern trace sig_txreq
-  and id_txok = Sim.Trace.intern trace sig_txok
-  and id_txfail = Sim.Trace.intern trace sig_txfail
   and id_drop = Sim.Trace.intern trace sig_drop
   and id_done = Sim.Trace.intern trace sig_done
-  and id_rx = Sim.Trace.intern trace sig_rx
   and id_deliver = Sim.Trace.intern trace sig_deliver
-  and id_leave_sig = Sim.Trace.intern trace sig_leave
-  and id_join_sig = Sim.Trace.intern trace sig_join in
+  and id_none = Sim.Trace.intern trace "-"
+  and id_abandon = Sim.Trace.intern trace "mac_abandon"
+  and id_collision = Sim.Trace.intern trace "chan_collision"
+  and id_burst = Sim.Trace.intern trace "chan_burst"
+  and id_burst_hit = Sim.Trace.intern trace "chan_burst_hit"
+  and id_loss = Sim.Trace.intern trace "chan_loss"
+  and id_term_leave = Sim.Trace.intern trace "term_leave"
+  and id_term_crash = Sim.Trace.intern trace "term_crash"
+  and id_term_join = Sim.Trace.intern trace "term_join" in
+  let input_tid = Array.map (fun (name, _) -> Sim.Trace.intern trace name) inputs in
   let machine =
     mac_machine ~max_retries:config.max_retries ~cw_min:config.cw_min
       ~cw_max:config.cw_max
   in
   let program =
     match config.engine with
-    | Codegen.Runtime.Compiled -> Some (Efsm.Compiled.compile machine)
+    | Codegen.Runtime.Compiled ->
+      let prog = Efsm.Compiled.compile machine in
+      Some (prog, tables_of prog trace)
     | Codegen.Runtime.Reference -> None
   in
   let terminals =
     Array.init n (fun id ->
-        let name = Printf.sprintf "t%03d" id in
         {
           id;
-          name;
-          name_id = Sim.Trace.intern trace name;
+          name_id = Sim.Trace.intern trace (Printf.sprintf "t%03d" id);
           profile = Workload.profile_for ~mix:config.mix id;
           class_name =
             Workload.profile_name (Workload.profile_for ~mix:config.mix id);
           exec =
             (match program with
-            | Some prog -> Comp (Efsm.Compiled.create prog)
+            | Some (prog, tables) -> Comp (Efsm.Compiled.create prog, tables)
             | None -> Ref (Efsm.Interp.create machine));
           arrivals = Prng.split ~seed:config.seed ~stream:(2 * id);
           backoff = Prng.split ~seed:config.seed ~stream:((2 * id) + 1);
@@ -487,6 +564,8 @@ let run ?(obs = Obs.Scope.null ()) config =
           att_frag = 0;
           queue = Queue.create ();
           pending_tx = Sim.Engine.never;
+          attempt_fn = ignore;
+          arrival_fn = ignore;
           burst_until = -1;
           burst_left = 0;
           vframe = 0;
@@ -514,138 +593,192 @@ let run ?(obs = Obs.Scope.null ()) config =
     incr n_frames
   in
   let frame_of_seq seq = Option.get !frames.(seq) in
-  (* Channel slot bucket: registrations of the slot being collected. *)
+  (* Channel slot bucket: ids of the terminals registered for the slot
+     being collected, in registration order.  A terminal has at most
+     one transmission outstanding, so at most [n] register per slot. *)
   let chan_slot = ref (-1) in
-  let chan_txs : terminal list ref = ref [] in
+  let regs = Array.make n 0 in
+  let n_regs = ref 0 in
   let slots_used = ref 0 in
   let frags_through = ref 0 in
   let collisions = ref 0 in
   let leaves = ref 0 in
   let joins = ref 0 in
+  (* Trace id of each collision size, interned on first use. *)
+  let count_tids = Array.make (n + 1) (-1) in
+  let count_tid k =
+    if count_tids.(k) < 0 then
+      count_tids.(k) <- Sim.Trace.intern trace (string_of_int k);
+    count_tids.(k)
+  in
   let record_fault ~time kind target info =
-    Sim.Trace.record trace
-      (Sim.Trace.Fault { time = Int64.of_int time; kind; target; info })
+    Sim.Trace.record_fault trace ~time ~kind ~target
+      ~info:(Sim.Trace.intern trace info)
   in
   let next_boundary now = ((now / slot) + 1) * slot in
-  (* [dispatch_mac] and the effect interpreter are mutually recursive
-     (an effect of one dispatch can trigger another dispatch); the knot
-     is tied through a forward reference. *)
-  let apply_effect_fwd =
-    ref (fun (_ : terminal) (_ : Efsm.Action.effect) -> ())
+  (* Effects of the dispatches in progress, as (kind, a0, a1) entries on
+     a stack: a handler may dispatch on the same MAC again (DONE/DROP
+     serve the next frame), so each dispatch snapshots its step above
+     the entries its callers are still walking. *)
+  let fx_kind = ref (Array.make 16 Ignored) in
+  let fx_arg = ref (Array.make 32 0) in
+  let fx_top = ref 0 in
+  let push_fx kind a0 a1 =
+    let i = !fx_top in
+    if i = Array.length !fx_kind then begin
+      let kinds = Array.make (2 * i) Ignored and args = Array.make (4 * i) 0 in
+      Array.blit !fx_kind 0 kinds 0 i;
+      Array.blit !fx_arg 0 args 0 (2 * i);
+      fx_kind := kinds;
+      fx_arg := args
+    end;
+    !fx_kind.(i) <- kind;
+    !fx_arg.(2 * i) <- a0;
+    !fx_arg.((2 * i) + 1) <- a1;
+    fx_top := i + 1
   in
-  let dispatch_mac t ~sender ~sig_id ~signal ~args ~words ~tag ~record =
+  (* Raw payload of the input being dispatched, all integers. *)
+  let argv = Array.make 3 0 and argt = Array.make 3 1 in
+  let rec dispatch_mac t ~sender ~gsig ~a0 ~a1 ~a2 ~words ~tag ~record =
     let now = Sim.Engine.now_ns engine in
+    let sig_id = input_tid.(gsig) in
     if record then
       Sim.Trace.record_signal trace ~time:now ~sender ~receiver:t.name_id
         ~signal:sig_id ~words ~tag;
-    let before = exec_state t.exec in
-    let step = exec_dispatch t.exec ~signal ~args in
-    (match step.Efsm.Interp.fired with
-    | None ->
-      Sim.Trace.record_discard trace ~time:now ~process:t.name_id
-        ~signal:sig_id
-    | Some _ ->
-      let after = exec_state t.exec in
-      if not (String.equal before after) then
-        Sim.Trace.record_state_change trace ~time:now ~process:t.name_id
-          ~from_:(Sim.Trace.intern trace before)
-          ~to_:(Sim.Trace.intern trace after));
-    List.iter (fun eff -> !apply_effect_fwd t eff) step.Efsm.Interp.effects
-  in
-  let vint = function Efsm.Action.V_int x -> x | Efsm.Action.V_bool _ -> 0 in
-  let rec apply_effect t eff =
+    let base = !fx_top in
+    (match t.exec with
+    | Comp (vm, tb) ->
+      let before = Efsm.Compiled.state_id vm in
+      argv.(0) <- a0;
+      argv.(1) <- a1;
+      argv.(2) <- a2;
+      if
+        Efsm.Compiled.dispatch_raw vm ~sid:tb.sids.(gsig) ~pids:tb.pids.(gsig)
+          ~argt ~argv ~off:0 ~argc:3
+        < 0
+      then
+        Sim.Trace.record_discard trace ~time:now ~process:t.name_id
+          ~signal:sig_id
+      else begin
+        let after = Efsm.Compiled.state_id vm in
+        if after <> before then
+          Sim.Trace.record_state_change trace ~time:now ~process:t.name_id
+            ~from_:tb.state_tid.(before) ~to_:tb.state_tid.(after);
+        for k = 0 to Efsm.Compiled.effect_count vm - 1 do
+          let site = Efsm.Compiled.effect_site vm k in
+          let argc = Efsm.Compiled.effect_argc vm k in
+          push_fx
+            (if site < 0 then Compute else tb.site_kind.(site))
+            (if argc > 0 then Efsm.Compiled.effect_arg vm k 0 else 0)
+            (if argc > 1 then Efsm.Compiled.effect_arg vm k 1 else 0)
+        done
+      end
+    | Ref it ->
+      let before = Efsm.Interp.state it in
+      let step =
+        Efsm.Interp.dispatch it ~signal:(fst inputs.(gsig))
+          ~args:(named_args gsig a0 a1 a2)
+      in
+      (match step.Efsm.Interp.fired with
+      | None ->
+        Sim.Trace.record_discard trace ~time:now ~process:t.name_id
+          ~signal:sig_id
+      | Some _ ->
+        let after = Efsm.Interp.state it in
+        if not (String.equal before after) then
+          Sim.Trace.record_state_change trace ~time:now ~process:t.name_id
+            ~from_:(Sim.Trace.intern trace before)
+            ~to_:(Sim.Trace.intern trace after));
+      List.iter
+        (function
+          | Efsm.Action.Eff_compute cycles -> push_fx Compute cycles 0
+          | Efsm.Action.Eff_send { signal; args; _ } ->
+            push_fx (kind_of_signal signal) (raw_arg 0 args) (raw_arg 1 args))
+        step.Efsm.Interp.effects);
+    let top = !fx_top in
+    for i = base to top - 1 do
+      handle t !fx_kind.(i) !fx_arg.(2 * i) !fx_arg.((2 * i) + 1)
+    done;
+    fx_top := base
+  and handle t kind a0 a1 =
     let now = Sim.Engine.now_ns engine in
-    match eff with
-    | Efsm.Action.Eff_compute cycles ->
-      Sim.Trace.record_exec trace ~time:now ~process:t.name_id ~cycles
-    | Efsm.Action.Eff_send { signal; args; _ } ->
-      if String.equal signal sig_txreq then begin
-        let seq = vint (List.nth args 0) and frag = vint (List.nth args 1) in
-        t.att_seq <- seq;
-        t.att_frag <- frag;
-        Sim.Trace.record_signal trace ~time:now ~sender:t.name_id
-          ~receiver:id_chan ~signal:id_txreq ~words:16 ~tag:seq;
-        t.pending_tx <-
-          Sim.Engine.schedule_at_ns engine ~time:(next_boundary now)
-            (attempt t)
-      end
-      else if String.equal signal sig_backoff then begin
-        let cw = vint (List.nth args 0) and retry = vint (List.nth args 1) in
-        t.retried <- t.retried + 1;
-        Obs.Metrics.inc m_retries;
-        Obs.Histogram.record t.retry_dist retry;
-        Sim.Trace.record_retransmit trace ~time:now ~sender:t.name_id
-          ~receiver:id_chan ~signal:id_txreq ~attempt:retry;
-        let k = Prng.int t.backoff cw in
-        t.pending_tx <-
-          Sim.Engine.schedule_at_ns engine
-            ~time:(next_boundary now + (k * slot))
-            (attempt t)
-      end
-      else if String.equal signal sig_drop then begin
-        let seq = vint (List.nth args 0) in
-        Sim.Trace.record_signal trace ~time:now ~sender:t.name_id
-          ~receiver:id_chan ~signal:id_drop ~words:2 ~tag:seq;
-        record_fault ~time:now "mac_abandon" t.name (string_of_int seq);
-        (frame_of_seq seq).f_status <- Abandoned;
-        t.abandoned <- t.abandoned + 1;
-        Obs.Metrics.inc m_abandoned;
-        t.cur <- None;
-        start_next t
-      end
-      else if String.equal signal sig_done then begin
-        let seq = vint (List.nth args 0) in
-        Sim.Trace.record_signal trace ~time:now ~sender:t.name_id
-          ~receiver:id_chan ~signal:id_done ~words:2 ~tag:seq;
-        t.cur <- None;
-        start_next t
-      end
-      else if String.equal signal sig_deliver then begin
-        (* [t] is the receiver here; latency is attributed to the
-           sender's traffic class. *)
-        let seq = vint (List.nth args 0) in
-        let f = frame_of_seq seq in
-        Sim.Trace.record_signal trace ~time:now ~sender:t.name_id
-          ~receiver:id_env ~signal:id_deliver ~words:100 ~tag:seq;
-        f.f_status <- Delivered;
-        let src = terminals.(f.f_src) in
-        src.delivered <- src.delivered + 1;
-        Obs.Metrics.inc m_delivered;
-        Obs.Histogram.record src.latency (now - f.f_born)
-      end
+    match kind with
+    | Compute -> Sim.Trace.record_exec trace ~time:now ~process:t.name_id ~cycles:a0
+    | Tx_req ->
+      let seq = a0 in
+      t.att_seq <- seq;
+      t.att_frag <- a1;
+      Sim.Trace.record_signal trace ~time:now ~sender:t.name_id
+        ~receiver:id_chan ~signal:id_txreq ~words:16 ~tag:seq;
+      t.pending_tx <-
+        Sim.Engine.schedule_at_ns engine ~time:(next_boundary now) t.attempt_fn
+    | Backoff ->
+      let cw = a0 and retry = a1 in
+      t.retried <- t.retried + 1;
+      Obs.Metrics.inc m_retries;
+      Obs.Histogram.record t.retry_dist retry;
+      Sim.Trace.record_retransmit trace ~time:now ~sender:t.name_id
+        ~receiver:id_chan ~signal:id_txreq ~attempt:retry;
+      let k = Prng.int t.backoff cw in
+      t.pending_tx <-
+        Sim.Engine.schedule_at_ns engine
+          ~time:(next_boundary now + (k * slot))
+          t.attempt_fn
+    | Drop ->
+      let seq = a0 in
+      Sim.Trace.record_signal trace ~time:now ~sender:t.name_id
+        ~receiver:id_chan ~signal:id_drop ~words:2 ~tag:seq;
+      record_fault ~time:now id_abandon t.name_id (string_of_int seq);
+      (frame_of_seq seq).f_status <- Abandoned;
+      t.abandoned <- t.abandoned + 1;
+      Obs.Metrics.inc m_abandoned;
+      t.cur <- None;
+      start_next t
+    | Done ->
+      Sim.Trace.record_signal trace ~time:now ~sender:t.name_id
+        ~receiver:id_chan ~signal:id_done ~words:2 ~tag:a0;
+      t.cur <- None;
+      start_next t
+    | Deliver ->
+      (* [t] is the receiver here; latency is attributed to the
+         sender's traffic class. *)
+      let seq = a0 in
+      let f = frame_of_seq seq in
+      Sim.Trace.record_signal trace ~time:now ~sender:t.name_id
+        ~receiver:id_env ~signal:id_deliver ~words:100 ~tag:seq;
+      f.f_status <- Delivered;
+      let src = terminals.(f.f_src) in
+      src.delivered <- src.delivered + 1;
+      Obs.Metrics.inc m_delivered;
+      Obs.Histogram.record src.latency (now - f.f_born)
+    | Ignored -> ()
   and start_next t =
-    if t.alive && t.cur = None then
-      match Queue.take_opt t.queue with
-      | None -> ()
-      | Some f ->
-        t.cur <- Some f;
-        (* The offered-frame S line was recorded at arrival; serving it
-           from the queue is not a second transfer. *)
-        dispatch_mac t ~sender:id_env ~sig_id:id_frame_sig ~signal:sig_frame
-          ~args:
-            [
-              ("seq", Efsm.Action.V_int f.f_seq);
-              ("frags", Efsm.Action.V_int f.f_frags);
-            ]
-          ~words:100 ~tag:f.f_seq ~record:false
-  and attempt t () =
+    if t.alive && Option.is_none t.cur && not (Queue.is_empty t.queue) then begin
+      let f = Queue.take t.queue in
+      t.cur <- Some f;
+      (* The offered-frame S line was recorded at arrival; serving it
+         from the queue is not a second transfer. *)
+      dispatch_mac t ~sender:id_env ~gsig:g_frame ~a0:f.f_seq ~a1:f.f_frags
+        ~a2:0 ~words:100 ~tag:f.f_seq ~record:false
+    end
+  in
+  let rec attempt t =
     if t.alive then begin
       let now = Sim.Engine.now_ns engine in
       t.tx_attempts <- t.tx_attempts + 1;
       Obs.Metrics.inc m_attempts;
       if !chan_slot <> now then begin
         chan_slot := now;
-        chan_txs := []
+        n_regs := 0
       end;
-      (match !chan_txs with
-      | [] -> ignore (Sim.Engine.schedule_ns engine ~delay:0 resolve)
-      | _ :: _ -> ());
-      chan_txs := t :: !chan_txs
+      if !n_regs = 0 then ignore (Sim.Engine.schedule_ns engine ~delay:0 resolve);
+      regs.(!n_regs) <- t.id;
+      incr n_regs
     end
   and resolve () =
     let now = Sim.Engine.now_ns engine in
-    let txs = List.rev !chan_txs in
-    chan_txs := [];
+    let count = !n_regs in
+    n_regs := 0;
     chan_slot := -1;
     let outcome_at = now + slot in
     let sched t verdict =
@@ -654,13 +787,13 @@ let run ?(obs = Obs.Scope.null ()) config =
         (Sim.Engine.schedule_at_ns engine ~time:outcome_at (fun () ->
              outcome t epoch verdict))
     in
-    match txs with
-    | [] -> ()
-    | [ t ] ->
+    if count = 1 then begin
+      let t = terminals.(regs.(0)) in
       incr slots_used;
       let verdict =
         if t.burst_until > now then begin
-          record_fault ~time:now "chan_burst_hit" t.name "-";
+          Sim.Trace.record_fault trace ~time:now ~kind:id_burst_hit
+            ~target:t.name_id ~info:id_none;
           `Fail
         end
         else
@@ -673,47 +806,45 @@ let run ?(obs = Obs.Scope.null ()) config =
             with
             | Some burst_ns ->
               t.burst_until <- now + burst_ns;
-              record_fault ~time:now "chan_burst" t.name
-                (string_of_int burst_ns);
+              record_fault ~time:now id_burst t.name_id (string_of_int burst_ns);
               `Fail
             | None ->
               if
                 Fault.Injector.chan_loss inj ~now:(Int64.of_int now)
                   ~terminal:t.id
               then begin
-                record_fault ~time:now "chan_loss" t.name "-";
+                Sim.Trace.record_fault trace ~time:now ~kind:id_loss
+                  ~target:t.name_id ~info:id_none;
                 `Fail
               end
               else `Air)
       in
       sched t verdict
-    | _ :: _ :: _ ->
+    end
+    else if count > 1 then begin
       incr slots_used;
       incr collisions;
-      record_fault ~time:now "chan_collision" "chan"
-        (string_of_int (List.length txs));
+      Sim.Trace.record_fault trace ~time:now ~kind:id_collision ~target:id_chan
+        ~info:(count_tid count);
       Obs.Metrics.inc m_collisions;
-      List.iter
-        (fun t ->
-          t.collided <- t.collided + 1;
-          sched t `Fail)
-        txs
+      for i = 0 to count - 1 do
+        let t = terminals.(regs.(i)) in
+        t.collided <- t.collided + 1;
+        sched t `Fail
+      done
+    end
   and outcome t epoch verdict =
     (* End of the airtime: deliver to the destination and ack the
        sender, or fail the attempt.  A sender that departed in between
        voided its epoch; its MAC (if still departed) discards the
        outcome — a D line — and a rejoined MAC must not see a stale
        verdict for a flushed frame. *)
-    let fail () =
-      dispatch_mac t ~sender:id_chan ~sig_id:id_txfail ~signal:sig_txfail
-        ~args:[] ~words:2 ~tag:t.att_seq ~record:true
-    in
     if t.epoch <> epoch then begin
-      if not t.alive then fail ()
+      if not t.alive then fail t
     end
     else
       match verdict with
-      | `Fail -> fail ()
+      | `Fail -> fail t
       | `Air -> (
         match t.cur with
         | Some f when f.f_seq = t.att_seq ->
@@ -721,25 +852,21 @@ let run ?(obs = Obs.Scope.null ()) config =
           if not dst.alive then
             (* No receiver, no ack: the sender discovers the departure
                by timeout and backoff, like any other loss. *)
-            fail ()
+            fail t
           else begin
             let last = if t.att_frag = f.f_frags - 1 then 1 else 0 in
             incr frags_through;
             Obs.Metrics.inc m_frags;
-            dispatch_mac dst ~sender:id_chan ~sig_id:id_rx ~signal:sig_rx
-              ~args:
-                [
-                  ("seq", Efsm.Action.V_int f.f_seq);
-                  ("frag", Efsm.Action.V_int t.att_frag);
-                  ("last", Efsm.Action.V_int last);
-                ]
-              ~words:16 ~tag:f.f_seq ~record:true;
-            dispatch_mac t ~sender:id_chan ~sig_id:id_txok ~signal:sig_txok
-              ~args:[] ~words:2 ~tag:f.f_seq ~record:true
+            dispatch_mac dst ~sender:id_chan ~gsig:g_rx ~a0:f.f_seq
+              ~a1:t.att_frag ~a2:last ~words:16 ~tag:f.f_seq ~record:true;
+            dispatch_mac t ~sender:id_chan ~gsig:g_txok ~a0:0 ~a1:0 ~a2:0
+              ~words:2 ~tag:f.f_seq ~record:true
           end
-        | _ -> fail ())
+        | _ -> fail t)
+  and fail t =
+    dispatch_mac t ~sender:id_chan ~gsig:g_txfail ~a0:0 ~a1:0 ~a2:0 ~words:2
+      ~tag:t.att_seq ~record:true
   in
-  apply_effect_fwd := apply_effect;
   (* ---- workload ---------------------------------------------------- *)
   let gap_hint t =
     match t.profile with
@@ -770,7 +897,7 @@ let run ?(obs = Obs.Scope.null ()) config =
       max 1 (if idx mod gop = 0 then i_frags else p_frags)
   in
   let next_seq = ref 0 in
-  let rec arrival t () =
+  let arrival t =
     let now = Sim.Engine.now_ns engine in
     let f =
       {
@@ -787,17 +914,12 @@ let run ?(obs = Obs.Scope.null ()) config =
     t.offered <- t.offered + 1;
     Obs.Metrics.inc m_offered;
     Sim.Trace.record_signal trace ~time:now ~sender:id_env
-      ~receiver:t.name_id ~signal:id_frame_sig ~words:100 ~tag:f.f_seq;
+      ~receiver:t.name_id ~signal:input_tid.(g_frame) ~words:100 ~tag:f.f_seq;
     if not t.alive then begin
       (* The user keeps offering; the departed MAC discards (D line)
          and the frame is accounted as cleanly flushed. *)
-      dispatch_mac t ~sender:id_env ~sig_id:id_frame_sig ~signal:sig_frame
-        ~args:
-          [
-            ("seq", Efsm.Action.V_int f.f_seq);
-            ("frags", Efsm.Action.V_int f.f_frags);
-          ]
-        ~words:100 ~tag:f.f_seq ~record:false;
+      dispatch_mac t ~sender:id_env ~gsig:g_frame ~a0:f.f_seq ~a1:f.f_frags
+        ~a2:0 ~words:100 ~tag:f.f_seq ~record:false;
       f.f_status <- Flushed;
       t.flushed <- t.flushed + 1;
       Obs.Metrics.inc m_flushed
@@ -806,8 +928,13 @@ let run ?(obs = Obs.Scope.null ()) config =
       Queue.add f t.queue;
       start_next t
     end;
-    ignore (Sim.Engine.schedule_ns engine ~delay:(next_gap t) (arrival t))
+    ignore (Sim.Engine.schedule_ns engine ~delay:(next_gap t) t.arrival_fn)
   in
+  Array.iter
+    (fun t ->
+      t.attempt_fn <- (fun () -> attempt t);
+      t.arrival_fn <- (fun () -> arrival t))
+    terminals;
   (* ---- churn ------------------------------------------------------- *)
   let flush (t : terminal) =
     let drop f =
@@ -820,23 +947,25 @@ let run ?(obs = Obs.Scope.null ()) config =
     Queue.iter drop t.queue;
     Queue.clear t.queue
   in
-  let leave ~kind t () =
+  let leave ~crash t () =
     if t.alive then begin
       let now = Sim.Engine.now_ns engine in
       t.alive <- false;
       t.epoch <- t.epoch + 1;
       Sim.Engine.cancel t.pending_tx;
       t.pending_tx <- Sim.Engine.never;
-      record_fault ~time:now kind t.name "-";
+      Sim.Trace.record_fault trace ~time:now
+        ~kind:(if crash then id_term_crash else id_term_leave)
+        ~target:t.name_id ~info:id_none;
       incr leaves;
       (match injector with
-      | Some inj when String.equal kind "term_crash" ->
+      | Some inj when crash ->
         let stats = Fault.Injector.stats inj in
         stats.Fault.Stats.term_crashes <- stats.Fault.Stats.term_crashes + 1
       | _ -> ());
       flush t;
-      dispatch_mac t ~sender:id_env ~sig_id:id_leave_sig ~signal:sig_leave
-        ~args:[] ~words:1 ~tag:(-1) ~record:true
+      dispatch_mac t ~sender:id_env ~gsig:g_leave ~a0:0 ~a1:0 ~a2:0 ~words:1
+        ~tag:(-1) ~record:true
     end
   in
   let rejoin t () =
@@ -844,17 +973,18 @@ let run ?(obs = Obs.Scope.null ()) config =
       let now = Sim.Engine.now_ns engine in
       t.alive <- true;
       t.burst_until <- -1;
-      record_fault ~time:now "term_join" t.name "-";
+      Sim.Trace.record_fault trace ~time:now ~kind:id_term_join
+        ~target:t.name_id ~info:id_none;
       incr joins;
-      dispatch_mac t ~sender:id_env ~sig_id:id_join_sig ~signal:sig_join
-        ~args:[] ~words:1 ~tag:(-1) ~record:true
+      dispatch_mac t ~sender:id_env ~gsig:g_join ~a0:0 ~a1:0 ~a2:0 ~words:1
+        ~tag:(-1) ~record:true
     end
   in
   (* ---- schedule the world ------------------------------------------ *)
   Array.iter
     (fun t ->
       let first = 1 + Prng.int t.arrivals (max 1 (gap_hint t)) in
-      ignore (Sim.Engine.schedule_ns engine ~delay:first (arrival t)))
+      ignore (Sim.Engine.schedule_ns engine ~delay:first t.arrival_fn))
     terminals;
   List.iter
     (fun ev ->
@@ -863,7 +993,7 @@ let run ?(obs = Obs.Scope.null ()) config =
       | Leave ->
         ignore
           (Sim.Engine.schedule_at_ns engine ~time:ev.at_ns
-             (leave ~kind:"term_leave" t))
+             (leave ~crash:false t))
       | Rejoin ->
         ignore (Sim.Engine.schedule_at_ns engine ~time:ev.at_ns (rejoin t)))
     config.churn;
@@ -876,7 +1006,7 @@ let run ?(obs = Obs.Scope.null ()) config =
           let t = terminals.(term) in
           ignore
             (Sim.Engine.schedule_at_ns engine ~time:(Int64.to_int at_ns)
-               (leave ~kind:"term_crash" t)))
+               (leave ~crash:true t)))
       (Fault.Injector.term_crashes inj ~terminals:n));
   let events =
     Sim.Engine.run ~until:(Int64.of_int config.duration_ns) engine

@@ -185,6 +185,28 @@ let test_of_file () =
   expect_error ~substrings:[ "No such file" ]
     (Fault.Plan.of_file "/nonexistent/plan.json")
 
+(* A plan handed over as a process substitution ([--faults <(...)]) is a
+   pipe: it cannot seek, so its length is unknown until end of file.
+   Reading it must still parse, and a bad plan must still fail with a
+   located error rather than an exception. *)
+let test_of_file_pipe () =
+  let from_pipe text =
+    let r, w = Unix.pipe () in
+    Fun.protect
+      ~finally:(fun () -> Unix.close r)
+      (fun () ->
+        (* well under the pipe buffer, so the write cannot block *)
+        ignore (Unix.write_substring w text 0 (String.length text));
+        Unix.close w;
+        (* on Unix a [file_descr] is the descriptor number *)
+        Fault.Plan.of_file (Printf.sprintf "/dev/fd/%d" (Obj.magic r : int)))
+  in
+  (match from_pipe {|{"faults":[{"kind":"chan_loss","terminals":"0-3","rate":0.1}]}|} with
+  | Ok plan -> check int_t "one spec from the pipe" 1 (List.length plan.Fault.Plan.specs)
+  | Error e -> Alcotest.failf "pipe plan failed to parse: %s" e);
+  expect_error ~substrings:[ "/dev/fd/"; "column" ]
+    (from_pipe {|{"faults":[{"kind":"chan_loss","terminals":"0,x","rate":0.1}]}|})
+
 (* -- injector ----------------------------------------------------------- *)
 
 let drop_plan rate =
@@ -517,6 +539,7 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_roundtrip;
           Alcotest.test_case "error messages" `Quick test_parse_errors;
           Alcotest.test_case "of_file" `Quick test_of_file;
+          Alcotest.test_case "of_file from a pipe" `Quick test_of_file_pipe;
         ] );
       ( "injector",
         [

@@ -305,6 +305,53 @@ let prop_arena_list_render_equal =
       Sim.Trace.to_lines arena = Sim.Trace.to_lines list
       && Sim.Trace.events arena = Sim.Trace.events list)
 
+(* Property: logs spanning several arena chunks (8,192 rows each) render,
+   decode and aggregate like the list store — rows on both sides of every
+   chunk boundary included — and keep doing so after [clear] and a refill
+   that reuses the chunks.  The list store takes the generic [iter] path
+   of [total_cycles] / [signal_counts] / [discard_counts], so agreement
+   also pins the arena's row scans to the generic aggregations. *)
+let arena_chunk_rows = 8192
+
+let prop_arena_chunks =
+  QCheck.Test.make ~name:"arena chunks render and aggregate like the list store"
+    ~count:6
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (int_range ((2 * arena_chunk_rows) - 2) ((3 * arena_chunk_rows) + 2)
+           >>= fun n -> list_repeat n gen_event)
+           (int_range 1 (arena_chunk_rows + 2) >>= fun n -> list_repeat n gen_event)))
+    (fun (first, refill) ->
+      let arena = Sim.Trace.create ~backend:Sim.Trace.Arena () in
+      let list = Sim.Trace.create ~backend:Sim.Trace.List () in
+      let same () =
+        let n = Sim.Trace.length list in
+        Sim.Trace.length arena = n
+        && Sim.Trace.to_lines arena = Sim.Trace.to_lines list
+        && Sim.Trace.events arena = Sim.Trace.events list
+        && List.for_all
+             (fun i -> i >= n || Sim.Trace.get arena i = Sim.Trace.get list i)
+             [ 0; arena_chunk_rows - 1; arena_chunk_rows; (2 * arena_chunk_rows) - 1;
+               2 * arena_chunk_rows; n - 1 ]
+        && Sim.Trace.total_cycles arena = Sim.Trace.total_cycles list
+        && Sim.Trace.signal_counts arena = Sim.Trace.signal_counts list
+        && Sim.Trace.discard_counts arena = Sim.Trace.discard_counts list
+      in
+      let fill events =
+        List.iter
+          (fun e ->
+            Sim.Trace.record arena e;
+            Sim.Trace.record list e)
+          events
+      in
+      fill first;
+      let full = same () in
+      Sim.Trace.clear arena;
+      Sim.Trace.clear list;
+      fill refill;
+      full && same ())
+
 (* Interning torture: thousands of distinct names force the intern
    table and string store through several growth doublings (and plenty
    of hash-bucket collisions); out-of-range int64 payloads exercise the
@@ -488,6 +535,7 @@ let () =
             test_trace_intern_torture;
           QCheck_alcotest.to_alcotest prop_trace_roundtrip;
           QCheck_alcotest.to_alcotest prop_arena_list_render_equal;
+          QCheck_alcotest.to_alcotest prop_arena_chunks;
         ] );
       ( "rtos",
         [

@@ -348,25 +348,42 @@ let prop_lockstep_hsm =
 
 (* -- id-level surface ------------------------------------------------- *)
 
+(* The raw readers of effect [k] rebuild [values] exactly: the count,
+   every tag code and every raw value. *)
+let raw_args_match ci k values =
+  Compiled.effect_argc ci k = List.length values
+  && List.for_all2
+       (fun a value ->
+         let tag = Compiled.effect_arg_tag ci k a
+         and raw = Compiled.effect_arg ci k a in
+         match value with
+         | Action.V_int n -> tag = 1 && raw = n
+         | Action.V_bool b -> tag = 2 && raw = if b then 1 else 0)
+       (List.init (List.length values) Fun.id)
+       values
+
 (* Every effect in the buffer names its send site: the site's port,
-   signal and arity match the effect, and compute effects name none. *)
+   signal and arity match the effect, and compute effects name none.
+   The allocation-free readers agree with the boxed effect: a send's
+   arguments, a compute effect's one argument (its cycle count). *)
 let sites_match ci =
   let sites = Compiled.send_sites (Compiled.program ci) in
   List.for_all
     (fun k ->
       match (Compiled.effect_at ci k, Compiled.effect_site ci k) with
-      | Action.Eff_compute _, site -> site = -1
+      | Action.Eff_compute cycles, site ->
+        site = -1 && raw_args_match ci k [ Action.V_int cycles ]
       | Action.Eff_send { port; signal; args }, site ->
         site >= 0
         &&
         let s = sites.(site) in
         s.Compiled.s_port = port && s.Compiled.s_signal = signal
-        && s.Compiled.s_argc = List.length args)
+        && s.Compiled.s_argc = List.length args
+        && raw_args_match ci k args)
     (List.init (Compiled.effect_count ci) Fun.id)
 
 let effect_sites machine ops =
   let ci = Compiled.of_machine machine in
-  Compiled.record_sites ci;
   let fail label =
     QCheck.Test.fail_reportf "effect sites disagree after %s\n%s" label
       (Notation.print_machine machine)
@@ -521,7 +538,6 @@ let test_raw_burst () =
       ]
   in
   let ci = Compiled.of_machine machine in
-  Compiled.record_sites ci;
   ignore (Compiled.initial_entry ci);
   let pids =
     Array.of_list
@@ -540,6 +556,46 @@ let test_raw_burst () =
   check bool_t "every effect names its site" true (sites_match ci);
   check bool_t "first binding wins" true
     (Compiled.read_var ci "x" = Some (Action.V_int 4))
+
+(* One step whose effect count (20 > 8) and argument total (40 > 16)
+   both outgrow the initial buffers, mixing int and boolean arguments
+   with compute effects: the raw readers must agree with the boxed
+   effects, which must equal the reference interpreter's. *)
+let test_raw_readers_past_buffers () =
+  let body =
+    List.concat
+      (List.init 10 (fun k ->
+           let even = k mod 2 = 0 and cost = k + 1 in
+           let open Action in
+           [
+             send ~port:"out" (Printf.sprintf "s%d" k)
+               ~args:[ v "x" + i k; i k < i 5; Bool even ];
+             Compute (v "x" + i cost);
+           ]))
+  in
+  let machine =
+    let open Action in
+    Machine.make ~name:"wide" ~states:[ "a"; "b" ] ~initial:"a"
+      ~variables:[ ("x", V_int 7) ]
+      [ Machine.transition ~src:"a" ~dst:"b" (Machine.On_signal "go") ~actions:body ]
+  in
+  let reference = Interp.create machine in
+  let ci = Compiled.of_machine machine in
+  ignore (Interp.initial_entry reference);
+  ignore (Compiled.initial_entry ci);
+  let expected = (Interp.dispatch reference ~signal:"go" ~args:[]).Interp.effects in
+  check bool_t "fired" true (Compiled.dispatch_id ci ~sid:(Compiled.signal_id ci "go") ~args:[]);
+  check int_t "effects" 20 (Compiled.effect_count ci);
+  check bool_t "boxed effects equal the reference's" true
+    (List.init 20 (Compiled.effect_at ci) = expected);
+  check bool_t "raw readers agree with the boxed effects" true (sites_match ci);
+  check int_t "third argument of the last send (k = 9, odd)" 0
+    (Compiled.effect_arg ci 18 2);
+  check int_t "its tag is boolean" 2 (Compiled.effect_arg_tag ci 18 2);
+  check int_t "last compute's cycles" 17 (Compiled.effect_arg ci 19 0);
+  match Compiled.effect_arg ci 19 1 with
+  | _ -> Alcotest.fail "a compute effect has one argument"
+  | exception Invalid_argument _ -> ()
 
 let prop_dispatch_raw =
   QCheck.Test.make ~name:"dispatch_raw fires like dispatch" ~count:300
@@ -1080,6 +1136,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_dispatch_raw;
           Alcotest.test_case "raw step past the initial buffer" `Quick
             test_raw_burst;
+          Alcotest.test_case "raw readers past both initial buffers" `Quick
+            test_raw_readers_past_buffers;
         ] );
       ("network", [ QCheck_alcotest.to_alcotest prop_network_differential ]);
       ( "scenario",

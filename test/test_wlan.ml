@@ -112,6 +112,47 @@ let test_replay_identity_one_seed () =
     check bool_t "the run is not degenerate" true
       (String.length reference > 1000)
 
+(* The benchmark's fleet (perfbench's [wlan_knee]: 200 terminals, its
+   plan and churn script, fleet and fault seed 1) at a 1.3 s horizon,
+   long enough for the scripted crash and the first departure: both
+   engines, each on its own trace store, give the same report and the
+   same log. *)
+let bench_input name =
+  (* [dune runtest] runs from _build/default/test, [dune exec] from the
+     repository root *)
+  let path = Filename.concat "perfbench/inputs" name in
+  let text =
+    In_channel.with_open_text
+      (if Sys.file_exists path then path else Filename.concat ".." path)
+      In_channel.input_all
+  in
+  String.trim text
+
+let test_bench_fleet_engines_agree () =
+  let faults =
+    match Fault.Plan.of_json_string (bench_input "wlan_plan.json") with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let churn =
+    match Tutmac.Wlan.churn_of_string (bench_input "wlan_churn.txt") with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let run engine trace_backend =
+    let r =
+      Tutmac.Wlan.run
+        (config ~terminals:200 ~duration_ms:1300 ~seed:1 ~faults ~fault_seed:1
+           ~churn ~engine ~trace_backend ())
+    in
+    (r, fingerprint r)
+  in
+  let compiled, fp_compiled = run Codegen.Runtime.Compiled Sim.Trace.Arena in
+  let _, fp_reference = run Codegen.Runtime.Reference Sim.Trace.List in
+  check bool_t "the crash and a departure happened" true
+    (compiled.Tutmac.Wlan.leaves >= 2);
+  check bool_t "compiled/arena = reference/list" true (fp_compiled = fp_reference)
+
 (* 50 seeds; for each, the compiled/arena and reference/list corners
    (maximally different code paths) must agree, under different job
    counts.  Faults and churn stay on so collision resolution, the
@@ -386,6 +427,8 @@ let () =
             test_replay_identity_50_seeds;
           Alcotest.test_case "seed perturbs the schedule" `Quick
             test_seed_changes_schedule;
+          Alcotest.test_case "benchmark fleet under both engines" `Quick
+            test_bench_fleet_engines_agree;
         ] );
       ( "channel",
         [
