@@ -4,8 +4,7 @@
 
 open Cmdliner
 
-let config_of ~duration_ms ~arbitration ~fifo ~crc_sw ~faults ~fault_seed
-    ~engine ~trace_backend =
+let model_config ~arbitration ~crc_sw =
   let platform =
     {
       Tutmac.Platform_model.default_params with
@@ -17,18 +16,8 @@ let config_of ~duration_ms ~arbitration ~fifo ~crc_sw ~faults ~fault_seed
   in
   {
     Tutmac.Scenario.default with
-    Tutmac.Scenario.duration_ns = Int64.mul (Int64.of_int duration_ms) 1_000_000L;
     Tutmac.Scenario.platform = platform;
-    Tutmac.Scenario.scheduling =
-      (if fifo then Codegen.Ir.Fifo else Codegen.Ir.Priority_preemptive);
     Tutmac.Scenario.crc_on_accelerator = not crc_sw;
-    Tutmac.Scenario.faults = Option.value ~default:Fault.Plan.empty faults;
-    Tutmac.Scenario.fault_seed;
-    Tutmac.Scenario.engine =
-      (if engine = "reference" then Codegen.Runtime.Reference
-       else Codegen.Runtime.Compiled);
-    Tutmac.Scenario.trace_backend =
-      (if trace_backend = "list" then Sim.Trace.List else Sim.Trace.Arena);
   }
 
 let duration_arg =
@@ -87,8 +76,13 @@ let sim_engine_arg =
   in
   Arg.(
     value
-    & opt (enum [ ("compiled", "compiled"); ("reference", "reference") ])
-        "compiled"
+    & opt
+        (enum
+           [
+             ("compiled", Codegen.Runtime.Compiled);
+             ("reference", Codegen.Runtime.Reference);
+           ])
+        Codegen.Runtime.Compiled
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let trace_backend_arg =
@@ -100,18 +94,36 @@ let trace_backend_arg =
   in
   Arg.(
     value
-    & opt (enum [ ("arena", "arena"); ("list", "list") ]) "arena"
+    & opt (enum [ ("arena", Sim.Trace.Arena); ("list", Sim.Trace.List) ])
+        Sim.Trace.Arena
     & info [ "trace-backend" ] ~docv:"BACKEND" ~doc)
+
+(* Model flags pick the model every subcommand reads.  Run flags only
+   matter to subcommands that simulate, so the others take [model_term]
+   alone and reject a run flag as an unknown option (check adds
+   back --engine for --replay). *)
+let model_term =
+  Term.(
+    const (fun arbitration crc_sw -> model_config ~arbitration ~crc_sw)
+    $ arbitration_arg $ crc_sw_arg)
 
 let config_term =
   Term.(
     const
-      (fun duration_ms arbitration fifo crc_sw faults fault_seed engine
-           trace_backend ->
-        config_of ~duration_ms ~arbitration ~fifo ~crc_sw ~faults ~fault_seed
-          ~engine ~trace_backend)
-    $ duration_arg $ arbitration_arg $ fifo_arg $ crc_sw_arg $ faults_arg
-    $ fault_seed_arg $ sim_engine_arg $ trace_backend_arg)
+      (fun config duration_ms fifo faults fault_seed engine trace_backend ->
+        {
+          config with
+          Tutmac.Scenario.duration_ns =
+            Int64.mul (Int64.of_int duration_ms) 1_000_000L;
+          Tutmac.Scenario.scheduling =
+            (if fifo then Codegen.Ir.Fifo else Codegen.Ir.Priority_preemptive);
+          Tutmac.Scenario.faults = Option.value ~default:Fault.Plan.empty faults;
+          Tutmac.Scenario.fault_seed;
+          Tutmac.Scenario.engine;
+          Tutmac.Scenario.trace_backend;
+        })
+    $ model_term $ duration_arg $ fifo_arg $ faults_arg $ fault_seed_arg
+    $ sim_engine_arg $ trace_backend_arg)
 
 (* -- observability ----------------------------------------------------- *)
 
@@ -256,7 +268,7 @@ let validate_cmd =
       if Tut_profile.Rules.is_valid report then 0 else 1
   in
   Cmd.v (Cmd.info "validate" ~doc:"Check the model against the TUT-Profile design rules")
-    Term.(const run $ config_term $ model_arg)
+    Term.(const run $ model_term $ model_arg)
 
 (* -- tables ---------------------------------------------------------- *)
 
@@ -329,7 +341,7 @@ let diagrams_cmd =
       end
   in
   Cmd.v (Cmd.info "diagrams" ~doc:"Render the paper's diagrams as text")
-    Term.(const run $ config_term $ figure_arg $ model_arg)
+    Term.(const run $ model_term $ figure_arg $ model_arg)
 
 (* -- xmi ------------------------------------------------------------- *)
 
@@ -354,7 +366,7 @@ let xmi_cmd =
     0
   in
   Cmd.v (Cmd.info "xmi" ~doc:"Serialise the model to its XML presentation")
-    Term.(const run $ config_term $ output_arg)
+    Term.(const run $ model_term $ output_arg)
 
 (* -- generate -------------------------------------------------------- *)
 
@@ -381,7 +393,7 @@ let generate_cmd =
       0
   in
   Cmd.v (Cmd.info "generate" ~doc:"Generate application C code from the model")
-    Term.(const run $ config_term $ outdir_arg)
+    Term.(const run $ model_term $ outdir_arg)
 
 (* -- simulate -------------------------------------------------------- *)
 
@@ -670,11 +682,7 @@ let explore_cmd =
     (* the shared --engine flag also picks the DSE cost kernel:
        compiled = pre-compiled incremental kernel, reference = plain
        closure-based cost model (bit-identical, the cross-check oracle) *)
-    let engine =
-      match config.Tutmac.Scenario.engine with
-      | Codegen.Runtime.Compiled -> "compiled"
-      | Codegen.Runtime.Reference -> "reference"
-    in
+    let engine = config.Tutmac.Scenario.engine in
     match Tutmac.Scenario.run config with
     | Error e ->
       prerr_endline e;
@@ -692,42 +700,40 @@ let explore_cmd =
       in
       let outcome =
         match algorithm, engine with
-        | "greedy", "reference" ->
+        | "greedy", Codegen.Runtime.Reference ->
           Ok (Dse.Explore.greedy ~eval ~candidates ~init ())
-        | "sa", "reference" ->
+        | "sa", Codegen.Runtime.Reference ->
           Ok
             (Dse.Parallel.simulated_annealing ~jobs ~seed ~iterations ~eval
                ~candidates ~init ())
-        | "random", "reference" ->
+        | "random", Codegen.Runtime.Reference ->
           Ok
             (Dse.Parallel.random_search ~jobs ~seed ~iterations ~eval
                ~candidates ())
-        | "exhaustive", "reference" ->
+        | "exhaustive", Codegen.Runtime.Reference ->
           Ok (Dse.Parallel.exhaustive ~jobs ~eval ~candidates ())
-        | "greedy", "compiled" ->
+        | "greedy", Codegen.Runtime.Compiled ->
           let kernel =
             Dse.Compiled.compile
               (Dse.Compiled.spec ~profile ~platform ())
               ~candidates
           in
           Ok (Dse.Explore.greedy_compiled ~kernel ~init ())
-        | "sa", "compiled" ->
+        | "sa", Codegen.Runtime.Compiled ->
           Ok
             (Dse.Parallel.simulated_annealing_compiled ~jobs ~seed ~iterations
                ~spec:(Dse.Compiled.spec ~profile ~platform ())
                ~candidates ~init ())
-        | "random", "compiled" ->
+        | "random", Codegen.Runtime.Compiled ->
           Ok
             (Dse.Parallel.random_search_compiled ~jobs ~seed ~iterations
                ~spec:(Dse.Compiled.spec ~profile ~platform ())
                ~candidates ())
-        | "exhaustive", "compiled" ->
+        | "exhaustive", Codegen.Runtime.Compiled ->
           Ok
             (Dse.Parallel.exhaustive_compiled ~jobs
                ~spec:(Dse.Compiled.spec ~profile ~platform ())
                ~candidates ())
-        | ("greedy" | "sa" | "random" | "exhaustive"), _ ->
-          assert false (* --engine is an enum: compiled | reference *)
         | other, _ -> Error ("unknown algorithm " ^ other)
       in
       (match outcome with
@@ -980,7 +986,7 @@ let lint_cmd =
          "Behavioural static analysis of the EFSM network (codes L01-L09): \
           reachability, determinism, dataflow, signal flow, deadlock")
     Term.(
-      const run $ config_term $ model_arg $ lint_format_arg $ max_severity_arg
+      const run $ model_term $ model_arg $ lint_format_arg $ max_severity_arg
       $ lint_list_arg $ lint_passes_arg $ chrome_trace_arg $ metrics_out_arg)
 
 (* -- check (model checker) -------------------------------------------- *)
@@ -1062,7 +1068,7 @@ let replay_arg =
   Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE" ~doc)
 
 let check_cmd =
-  let run config model_file format max_states max_depth queue_capacity
+  let run config engine model_file format max_states max_depth queue_capacity
       env_budget timer_budget por coi order property trace_out replay
       chrome_trace metrics_out =
     if format <> "text" && format <> "jsonl" then begin
@@ -1100,11 +1106,6 @@ let check_cmd =
             2
           | Ok trace -> (
             let net = Mc.Net.build model in
-            let engine =
-              match config.Tutmac.Scenario.engine with
-              | Codegen.Runtime.Reference -> Mc.Net.Reference
-              | Codegen.Runtime.Compiled -> Mc.Net.Compiled
-            in
             match Mc.Counterexample.replay net ~engine trace with
             | Error e ->
               prerr_endline e;
@@ -1171,8 +1172,9 @@ let check_cmd =
           M01-M06): deadlock, bounded-queue overflow, state and transition \
           coverage, with replayable counterexamples")
     Term.(
-      const run $ config_term $ model_arg $ check_format_arg $ max_states_arg
-      $ max_depth_arg $ queue_capacity_arg $ env_budget_arg $ timer_budget_arg
+      const run $ model_term $ sim_engine_arg $ model_arg $ check_format_arg
+      $ max_states_arg $ max_depth_arg $ queue_capacity_arg $ env_budget_arg
+      $ timer_budget_arg
       $ on_off true "por"
           "Partial-order reduction: explore one representative \
            interleaving of provably independent steps."
@@ -1266,11 +1268,8 @@ let wlan_cmd =
           Tutmac.Wlan.faults = Option.value ~default:Fault.Plan.empty faults;
           Tutmac.Wlan.fault_seed;
           Tutmac.Wlan.jobs;
-          Tutmac.Wlan.engine =
-            (if engine = "reference" then Codegen.Runtime.Reference
-             else Codegen.Runtime.Compiled);
-          Tutmac.Wlan.trace_backend =
-            (if trace_backend = "list" then Sim.Trace.List else Sim.Trace.Arena);
+          Tutmac.Wlan.engine;
+          Tutmac.Wlan.trace_backend;
         }
       in
       match Tutmac.Wlan.run ~obs config with

@@ -1,34 +1,4 @@
-type engine_kind = Reference | Compiled
-
-(* One process's EFSM stepper.  Both variants implement the identical
-   reactive contract ({!Efsm.Interp} documents it; {!Efsm.Compiled}
-   mirrors it bit for bit), so everything downstream of the step —
-   effects, traces, flows, faults — is shared and the two engines
-   cannot drift apart structurally. *)
-type exec =
-  | Exec_interp of Efsm.Interp.t
-  | Exec_compiled of Efsm.Compiled.t
-
-let exec_state = function
-  | Exec_interp i -> Efsm.Interp.state i
-  | Exec_compiled c -> Efsm.Compiled.state c
-
-let exec_timer_request = function
-  | Exec_interp i -> Efsm.Interp.timer_request i
-  | Exec_compiled c -> Efsm.Compiled.timer_request c
-
-let exec_initial_entry = function
-  | Exec_interp i -> Efsm.Interp.initial_entry i
-  | Exec_compiled c -> Efsm.Compiled.initial_entry c
-
-let exec_run_completions = function
-  | Exec_interp i -> Efsm.Interp.run_completions i
-  | Exec_compiled c -> Efsm.Compiled.run_completions c
-
-let exec_read_var exec name =
-  match exec with
-  | Exec_interp i -> Efsm.Interp.read_var i name
-  | Exec_compiled c -> Efsm.Compiled.read_var c name
+type engine_kind = Efsm.Host.kind = Reference | Compiled
 
 (* Native-int accumulators: queueing waits fit the 63-bit ns clock and
    bumping them per handled event must not box. *)
@@ -45,7 +15,7 @@ type queue_stats = {
 type proc_rt = {
   decl : Ir.proc_decl;
   name_id : int;  (** process name interned in the runtime's trace *)
-  exec : exec;
+  exec : Efsm.Host.t;
   queue : (string * Efsm.Action.value) list Sim.Mailbox.Flat.t;
       (** lanes: a = interned signal id, b = flow id, c = enqueued_at *)
   mutable busy : bool;
@@ -267,7 +237,7 @@ let rec pump t proc =
         ~where_:proc.name_id ~dur:wait
     end;
     proc.busy <- true;
-    let before_state = exec_state proc.exec in
+    let before_state = Efsm.Host.state proc.exec in
     let is_timeout = sig_id = t.timeout_id in
     (* Compiled instances dispatch by pre-resolved table id and leave
        the effects in the VM's buffer (walked in place by
@@ -275,12 +245,12 @@ let rec pump t proc =
        contract.  Both paths fire the same transitions. *)
     let fired =
       match proc.exec with
-      | Exec_compiled vm ->
+      | Efsm.Host.Vm vm ->
         if is_timeout then
           Efsm.Compiled.fire_timer_id vm ~entered_state:before_state
         else
           Efsm.Compiled.dispatch_id vm ~sid:(vm_sid t proc vm sig_id) ~args
-      | Exec_interp i ->
+      | Efsm.Host.Interp i ->
         let step =
           if is_timeout then
             Efsm.Interp.fire_timer i ~entered_state:before_state
@@ -314,7 +284,7 @@ let rec pump t proc =
       proc.busy <- false;
       pump t proc
     | true ->
-      let after_state = exec_state proc.exec in
+      let after_state = Efsm.Host.state proc.exec in
       if not (is_env proc) then
         Sim.Trace.record_state_change t.trace ~time:now
           ~process:proc.name_id
@@ -348,14 +318,14 @@ let rec pump t proc =
       (* Every handled event is charged the dispatch overhead burst
          before its own effects run. *)
       (match proc.exec with
-      | Exec_compiled _ ->
+      | Efsm.Host.Vm _ ->
         proc.eff_idx <- 0;
         proc.eff_k <- k;
         proc.eff_cycles <- t.overhead_cycles;
         Sim.Rtos.submit_i proc.sched ~task:proc.decl.Ir.proc_name
           ~priority:proc.decl.Ir.priority ~flow:proc.current_flow
           ~cycles:t.overhead_cycles proc.eff_cont_b
-      | Exec_interp _ ->
+      | Efsm.Host.Interp _ ->
         run_effects t proc (t.overhead_eff :: proc.eff_rest) k)
   end
 
@@ -723,12 +693,12 @@ and arm_timer t proc =
      callback always refers to the latest one, with [armed_state]
      discarding firings that raced a state change) and reuses its
      handle when the backend allows. *)
-  match exec_timer_request proc.exec with
+  match Efsm.Host.timer_request proc.exec with
   | None ->
     Sim.Engine.cancel proc.timer;
     proc.timer <- Sim.Engine.never
   | Some delay_ns ->
-    proc.armed_state <- exec_state proc.exec;
+    proc.armed_state <- Efsm.Host.state proc.exec;
     proc.timer <-
       Sim.Engine.rearm_ns t.engine proc.timer ~delay:delay_ns proc.timer_fire
 
@@ -846,7 +816,7 @@ let schedule_pe_faults t f =
     (Fault.Injector.pe_slowdowns f.injector)
 
 let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
-    ?(engine = Reference) sys =
+    ?(engine = Compiled) sys =
   let engine_kind = engine in
   match Ir.check sys with
   | _ :: _ as problems -> Error problems
@@ -1007,11 +977,8 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
             decl;
             name_id = Sim.Trace.intern trace_store name;
             exec =
-              (match engine_kind with
-              | Reference -> Exec_interp (Efsm.Interp.create decl.Ir.machine)
-              | Compiled ->
-                Exec_compiled
-                  (Efsm.Compiled.create (program_of decl.Ir.machine)));
+              Efsm.Host.create engine_kind ~program:program_of
+                decl.Ir.machine;
             queue = Sim.Mailbox.Flat.create ~dummy:[] ();
             busy = false;
             timer = Sim.Engine.never;
@@ -1096,7 +1063,7 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
             proc.timer <- Sim.Engine.never;
             (* Stale timers (state changed meanwhile) are discarded; only
                deliver when still in the armed state. *)
-            if exec_state proc.exec = proc.armed_state then begin
+            if Efsm.Host.state proc.exec = proc.armed_state then begin
               Sim.Mailbox.Flat.push proc.queue t.timeout_id (-1)
                 (Sim.Engine.now_ns t.engine)
                 [];
@@ -1107,12 +1074,12 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
             record_exec_i t proc proc.eff_cycles;
             run_effects t proc proc.eff_rest proc.eff_k);
         (match proc.exec with
-        | Exec_compiled vm ->
+        | Efsm.Host.Vm vm ->
           proc.eff_cont_b <-
             (fun () ->
               record_exec_i t proc proc.eff_cycles;
               run_effects_c t proc vm proc.eff_idx proc.eff_k)
-        | Exec_interp _ -> ());
+        | Efsm.Host.Interp _ -> ());
         proc.finish_fn <-
           (fun () ->
             proc.busy <- false;
@@ -1125,7 +1092,7 @@ let start t =
   Hashtbl.iter
     (fun _ proc ->
       let effects =
-        exec_initial_entry proc.exec @ exec_run_completions proc.exec
+        Efsm.Host.initial_entry proc.exec @ Efsm.Host.run_completions proc.exec
       in
       if effects <> [] then begin
         proc.busy <- true;
@@ -1193,12 +1160,12 @@ let pe_queue_high_water t =
   |> List.sort compare
 
 let process_state t name =
-  Option.map (fun p -> exec_state p.exec) (Hashtbl.find_opt t.procs name)
+  Option.map (fun p -> Efsm.Host.state p.exec) (Hashtbl.find_opt t.procs name)
 
 let process_var t name var =
   match Hashtbl.find_opt t.procs name with
   | None -> None
-  | Some p -> exec_read_var p.exec var
+  | Some p -> Efsm.Host.read_var p.exec var
 
 let pe_busy_ns t =
   Hashtbl.fold (fun name r acc -> (name, Sim.Rtos.busy_ns r) :: acc) t.rtos []

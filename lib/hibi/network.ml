@@ -37,7 +37,7 @@ type segment = {
   m_words : Obs.Metrics.counter;
   m_grants : Obs.Metrics.counter;
   m_queue_depth : Obs.Metrics.gauge;
-  m_arb_wait : Obs.Metrics.histogram;
+  m_arb_wait : Obs.Histogram.t;
 }
 
 type attachment =
@@ -128,7 +128,7 @@ let add_segment t ~name ~data_width_bits ~frequency_mhz ~arbitration
           m_words = Obs.Metrics.counter t.metrics (metric "words");
           m_grants = Obs.Metrics.counter t.metrics (metric "grants");
           m_queue_depth = Obs.Metrics.gauge t.metrics (metric "queue_depth");
-          m_arb_wait = Obs.Metrics.histogram t.metrics (metric "arb_wait_ns");
+          m_arb_wait = Obs.Metrics.hdr t.metrics (metric "arb_wait_ns");
         };
       ]
 
@@ -299,7 +299,7 @@ let rec grant t segment =
       (if t.obs_on then begin
          Obs.Metrics.inc segment.m_grants;
          Obs.Metrics.set segment.m_queue_depth segment.waiting_len;
-         Obs.Metrics.observe segment.m_arb_wait
+         Obs.Histogram.record segment.m_arb_wait
            (granted_at - req.req_waiting_since)
        end);
       let burst = min req.req_words req.req_chunk in

@@ -45,7 +45,12 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Replay_error s)) fmt
 let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
   let trace = Sim.Trace.create () in
   let execs =
-    Array.map (fun inst -> Net.make_exec engine inst) net.Net.insts
+    Array.map
+      (fun (inst : Net.inst) ->
+        Efsm.Host.create engine
+          ~program:(fun _ -> inst.Net.prog)
+          inst.Net.machine)
+      net.Net.insts
   in
   let queues = Array.make (Net.n_insts net) ([] : qmsg list) in
   let overflowed = ref None in
@@ -124,9 +129,9 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
     (fun (inst : Net.inst) ->
       if !overflowed = None then begin
         let e = execs.(inst.Net.ix) in
-        route_effects ~time:0L inst (Net.exec_initial_entry e);
+        route_effects ~time:0L inst (Efsm.Host.initial_entry e);
         if !overflowed = None then
-          route_effects ~time:0L inst (Net.exec_run_completions e)
+          route_effects ~time:0L inst (Efsm.Host.run_completions e)
       end)
     net.Net.insts;
   (* the schedule *)
@@ -150,9 +155,9 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
         let signal = Net.sig_name net m.q_gsig in
         marker ~time "mc_deliver" inst.Net.path signal;
         let e = execs.(ix) in
-        let before = Net.exec_state e in
+        let before = Efsm.Host.state e in
         let step =
-          Net.exec_dispatch e ~signal
+          Efsm.Host.dispatch e ~signal
             ~args:(Net.bind_args net m.q_gsig m.q_args)
         in
         route_effects ~time inst step.Efsm.Interp.effects;
@@ -165,19 +170,19 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
                  time;
                  process = inst.Net.path;
                  from_ = before;
-                 to_ = Net.exec_state e;
+                 to_ = Efsm.Host.state e;
                }))
     | Explore.S_timer ix ->
       let inst = net.Net.insts.(ix) in
       let e = execs.(ix) in
       let delay =
-        match Net.exec_timer_request e with
+        match Efsm.Host.timer_request e with
         | Some d -> d
         | None -> fail "mc_timer at t=%d: no timer armed at %s" t inst.Net.path
       in
       marker ~time "mc_timer" inst.Net.path (string_of_int delay);
-      let before = Net.exec_state e in
-      let step = Net.exec_fire_timer e ~entered_state:before in
+      let before = Efsm.Host.state e in
+      let step = Efsm.Host.fire_timer e ~entered_state:before in
       route_effects ~time inst step.Efsm.Interp.effects;
       if step.Efsm.Interp.fired = None then
         record
@@ -189,7 +194,7 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
                time;
                process = inst.Net.path;
                from_ = before;
-               to_ = Net.exec_state e;
+               to_ = Efsm.Host.state e;
              }));
     incr steps_run
   in
@@ -209,7 +214,7 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
             let inst = net.Net.insts.(ix) in
             match
               Efsm.Compiled.state_id_of_name inst.Net.prog
-                (Net.exec_state execs.(ix))
+                (Efsm.Host.state execs.(ix))
             with
             | Some s -> s
             | None -> fail "unknown state at %s" inst.Net.path)
@@ -232,7 +237,7 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
     Array.to_list net.Net.insts
     |> List.map (fun (inst : Net.inst) ->
            ( inst.Net.path,
-             Net.exec_state execs.(inst.Net.ix),
+             Efsm.Host.state execs.(inst.Net.ix),
              List.length queues.(inst.Net.ix) ))
   in
   (trace, { s_steps = !steps_run; s_verdict = verdict; s_final = final })

@@ -1,11 +1,9 @@
 (* Fixed-memory HDR-style histogram.
 
-   The coarse registry histograms ({!Metrics.histogram}) answer
-   percentile queries within a factor of two — enough for dashboards,
-   too blunt for latency SLOs.  This structure keeps [sub_count] linear
-   sub-buckets per power-of-two octave, so any quantile bound is within
-   [1/sub_count] (3.125%) of a recorded value, still with a fixed
-   ~1.9k-slot footprint regardless of population or value range.
+   This structure keeps [sub_count] linear sub-buckets per
+   power-of-two octave, so any quantile bound is within [1/sub_count]
+   (3.125%) of a recorded value, still with a fixed ~1.9k-slot
+   footprint regardless of population or value range.
 
    Values v <= 0 land in a dedicated underflow cell; exact count, sum,
    min and max are tracked alongside, so summary statistics never lose

@@ -2,9 +2,8 @@
 
     Log-bucketed with [sub_count] linear sub-buckets per power-of-two
     octave: every quantile bound is within a relative [1/sub_count]
-    (3.125%) of a recorded value — much tighter than the factor-two
-    registry histograms — at a fixed ~1.9k-slot footprint independent of
-    population and value range.  Count, sum, min and max are exact.
+    (3.125%) of a recorded value, at a fixed ~1.9k-slot footprint
+    independent of population and value range.  Count, sum, min and max are exact.
 
     Registered in the metrics registry via {!Metrics.hdr}; snapshots
     carry sparse bucket lists and obey the same commutative/associative

@@ -1,26 +1,16 @@
-(* Metrics registry: named counters, gauges and log-scale histograms.
+(* Metrics registry: named counters, gauges and HDR histograms.
 
    Instruments are plain mutable-int cells so the hot paths (one update
    per simulation event) cost a field write, never an allocation or a
    hash lookup — callers resolve the handle once with [counter]/[gauge]/
-   [histogram] and update through it.  Snapshots are immutable copies
+   [hdr] and update through it.  Snapshots are immutable copies
    that can be merged across runs and rendered as text or JSON. *)
 
 type counter = { mutable c_count : int }
 
 type gauge = { mutable g_last : int; mutable g_peak : int }
 
-let hist_buckets = 64
-
-type histogram = {
-  h_buckets : int array;  (** bucket i>=1: 2^(i-1) <= v < 2^i; bucket 0: v <= 0 *)
-  mutable h_count : int;
-  mutable h_sum : int;
-  mutable h_min : int;
-  mutable h_max : int;
-}
-
-type instrument = C of counter | G of gauge | H of histogram | D of Histogram.t
+type instrument = C of counter | G of gauge | D of Histogram.t
 
 type t = { table : (string, instrument) Hashtbl.t }
 
@@ -29,7 +19,7 @@ let create () = { table = Hashtbl.create 64 }
 let counter t name =
   match Hashtbl.find_opt t.table name with
   | Some (C c) -> c
-  | Some (G _ | H _ | D _) ->
+  | Some (G _ | D _) ->
     invalid_arg ("Obs.Metrics.counter: " ^ name ^ " is not a counter")
   | None ->
     let c = { c_count = 0 } in
@@ -39,7 +29,7 @@ let counter t name =
 let gauge t name =
   match Hashtbl.find_opt t.table name with
   | Some (G g) -> g
-  | Some (C _ | H _ | D _) ->
+  | Some (C _ | D _) ->
     invalid_arg ("Obs.Metrics.gauge: " ^ name ^ " is not a gauge")
   | None ->
     let g = { g_last = 0; g_peak = 0 } in
@@ -49,30 +39,12 @@ let gauge t name =
 let hdr t name =
   match Hashtbl.find_opt t.table name with
   | Some (D d) -> d
-  | Some (C _ | G _ | H _) ->
+  | Some (C _ | G _) ->
     invalid_arg ("Obs.Metrics.hdr: " ^ name ^ " is not an HDR histogram")
   | None ->
     let d = Histogram.create () in
     Hashtbl.replace t.table name (D d);
     d
-
-let histogram t name =
-  match Hashtbl.find_opt t.table name with
-  | Some (H h) -> h
-  | Some (C _ | G _ | D _) ->
-    invalid_arg ("Obs.Metrics.histogram: " ^ name ^ " is not a histogram")
-  | None ->
-    let h =
-      {
-        h_buckets = Array.make hist_buckets 0;
-        h_count = 0;
-        h_sum = 0;
-        h_min = max_int;
-        h_max = min_int;
-      }
-    in
-    Hashtbl.replace t.table name (H h);
-    h
 
 let inc ?(by = 1) c = c.c_count <- c.c_count + by
 let count c = c.c_count
@@ -85,38 +57,11 @@ let set_peak g v = if v > g.g_peak then g.g_peak <- v
 let last g = g.g_last
 let peak g = g.g_peak
 
-let bucket_index v =
-  if v <= 0 then 0
-  else begin
-    let i = ref 0 and v = ref v in
-    while !v > 0 do
-      incr i;
-      v := !v lsr 1
-    done;
-    min !i (hist_buckets - 1)
-  end
-
-let observe h v =
-  h.h_buckets.(bucket_index v) <- h.h_buckets.(bucket_index v) + 1;
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum + v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v
-
 (* -- snapshots ---------------------------------------------------------- *)
-
-type hist_data = {
-  count : int;
-  sum : int;
-  min_value : int;
-  max_value : int;
-  buckets : int array;
-}
 
 type value =
   | Counter of int
   | Gauge of { last_value : int; peak_value : int }
-  | Histogram of hist_data
   | Hdr of Histogram.snapshot
 
 type snapshot = (string * value) list
@@ -133,15 +78,6 @@ let snapshot t =
         match instrument with
         | C c -> Counter c.c_count
         | G g -> Gauge { last_value = g.g_last; peak_value = g.g_peak }
-        | H h ->
-          Histogram
-            {
-              count = h.h_count;
-              sum = h.h_sum;
-              min_value = (if h.h_count = 0 then 0 else h.h_min);
-              max_value = (if h.h_count = 0 then 0 else h.h_max);
-              buckets = Array.copy h.h_buckets;
-            }
         | D d -> Hdr (Histogram.snapshot d)
       in
       (name, value) :: acc)
@@ -164,25 +100,8 @@ let merge_value a b =
         last_value = max x.last_value y.last_value;
         peak_value = max x.peak_value y.peak_value;
       }
-  | Histogram x, Histogram y ->
-    Histogram
-      {
-        count = x.count + y.count;
-        sum = x.sum + y.sum;
-        min_value =
-          (if x.count = 0 then y.min_value
-           else if y.count = 0 then x.min_value
-           else min x.min_value y.min_value);
-        (* same empty-side guard as min: an empty population's placeholder
-           0 must not beat an all-negative population's true maximum *)
-        max_value =
-          (if x.count = 0 then y.max_value
-           else if y.count = 0 then x.max_value
-           else max x.max_value y.max_value);
-        buckets = Array.init hist_buckets (fun i -> x.buckets.(i) + y.buckets.(i));
-      }
   | Hdr x, Hdr y -> Hdr (Histogram.merge x y)
-  | (Counter _ | Gauge _ | Histogram _ | Hdr _), _ ->
+  | (Counter _ | Gauge _ | Hdr _), _ ->
     invalid_arg "Obs.Metrics.merge: instrument kind mismatch"
 
 let merge a b =
@@ -197,8 +116,8 @@ let merge a b =
   Hashtbl.fold (fun name v acc -> (name, v) :: acc) table [] |> List.sort by_name
 
 (* Fold a snapshot into a live registry with the same rules as [merge];
-   histograms get their buckets added directly (the snapshot carries the
-   full bucket array, so no re-observation round-trip is needed). *)
+   histograms get their buckets added directly (the snapshot carries
+   every populated bucket, so no re-observation round-trip is needed). *)
 let absorb t snap =
   List.iter
     (fun (name, v) ->
@@ -208,46 +127,8 @@ let absorb t snap =
         let g = gauge t name in
         if last_value > g.g_last then g.g_last <- last_value;
         if peak_value > g.g_peak then g.g_peak <- peak_value
-      | Histogram hd ->
-        let h = histogram t name in
-        Array.iteri
-          (fun i n -> h.h_buckets.(i) <- h.h_buckets.(i) + n)
-          hd.buckets;
-        h.h_count <- h.h_count + hd.count;
-        h.h_sum <- h.h_sum + hd.sum;
-        if hd.count > 0 then begin
-          if hd.min_value < h.h_min then h.h_min <- hd.min_value;
-          if hd.max_value > h.h_max then h.h_max <- hd.max_value
-        end
       | Hdr s -> Histogram.absorb (hdr t name) s)
     snap
-
-(* Percentile estimate from the log-scale buckets: the exclusive upper
-   edge of the bucket holding the requested rank (0.0 for the v<=0
-   bucket).  Within a factor of 2 of the true value by construction. *)
-let percentile (h : hist_data) p =
-  if h.count = 0 then 0.0
-  else begin
-    let rank =
-      let r = int_of_float (ceil (p /. 100.0 *. float_of_int h.count)) in
-      max 1 (min h.count r)
-    in
-    let result = ref 0.0 in
-    let cum = ref 0 in
-    (try
-       for i = 0 to hist_buckets - 1 do
-         cum := !cum + h.buckets.(i);
-         if !cum >= rank then begin
-           result := (if i = 0 then 0.0 else Float.of_int (1 lsl i));
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !result
-  end
-
-let mean (h : hist_data) =
-  if h.count = 0 then 0.0 else float_of_int h.sum /. float_of_int h.count
 
 (* -- rendering ---------------------------------------------------------- *)
 
@@ -260,11 +141,6 @@ let render snap =
       | Gauge { last_value; peak_value } ->
         Printf.bprintf buf "gauge   %-44s last=%d peak=%d\n" name last_value
           peak_value
-      | Histogram h ->
-        Printf.bprintf buf
-          "hist    %-44s count=%d sum=%d min=%d max=%d mean=%.1f p50<=%.0f p90<=%.0f p99<=%.0f\n"
-          name h.count h.sum h.min_value h.max_value (mean h)
-          (percentile h 50.0) (percentile h 90.0) (percentile h 99.0)
       | Hdr s ->
         Printf.bprintf buf
           "hdr     %-44s count=%d sum=%d min=%d max=%d mean=%.1f p50=%d p90=%d p99=%d\n"
@@ -287,22 +163,6 @@ let to_json snap =
                  ("type", Json.Str "gauge");
                  ("last", Json.Int last_value);
                  ("peak", Json.Int peak_value);
-               ]
-           | Histogram h ->
-             Json.Obj
-               [
-                 ("type", Json.Str "histogram");
-                 ("count", Json.Int h.count);
-                 ("sum", Json.Int h.sum);
-                 ("min", Json.Int h.min_value);
-                 ("max", Json.Int h.max_value);
-                 ("mean", Json.Float (mean h));
-                 ("p50", Json.Float (percentile h 50.0));
-                 ("p90", Json.Float (percentile h 90.0));
-                 ("p99", Json.Float (percentile h 99.0));
-                 ( "buckets",
-                   Json.List
-                     (Array.to_list (Array.map (fun n -> Json.Int n) h.buckets)) );
                ]
            | Hdr s -> Histogram.to_json s ))
        snap)

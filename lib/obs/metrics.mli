@@ -1,4 +1,4 @@
-(** Metrics registry: named counters, gauges and log-scale histograms.
+(** Metrics registry: named counters, gauges and HDR histograms.
 
     Hot-path discipline: resolve an instrument handle once (a hash
     lookup) and update through it thereafter — every update is a plain
@@ -10,16 +10,14 @@ type t
 
 type counter
 type gauge
-type histogram
 
 val create : unit -> t
 
 val counter : t -> string -> counter
 (** Find-or-create.  Raises [Invalid_argument] if [name] already names
-    an instrument of another kind (same for [gauge]/[histogram]). *)
+    an instrument of another kind (same for [gauge]/[hdr]). *)
 
 val gauge : t -> string -> gauge
-val histogram : t -> string -> histogram
 
 val hdr : t -> string -> Histogram.t
 (** Find-or-create a fine-grained {!Histogram} (HDR-style, 3.125%
@@ -39,24 +37,11 @@ val set_peak : gauge -> int -> unit
 val last : gauge -> int
 val peak : gauge -> int
 
-val observe : histogram -> int -> unit
-(** Values land in power-of-two buckets: bucket 0 holds [v <= 0], bucket
-    [i >= 1] holds [2^(i-1) <= v < 2^i]. *)
-
 (** {2 Snapshots} *)
-
-type hist_data = {
-  count : int;
-  sum : int;
-  min_value : int;
-  max_value : int;
-  buckets : int array;
-}
 
 type value =
   | Counter of int
   | Gauge of { last_value : int; peak_value : int }
-  | Histogram of hist_data
   | Hdr of Histogram.snapshot
 
 type snapshot = (string * value) list
@@ -69,8 +54,8 @@ val find : snapshot -> string -> value option
 val counter_value : snapshot -> string -> int option
 
 val merge : snapshot -> snapshot -> snapshot
-(** Counters and histogram populations (count, sum, per-bucket tallies
-    — both the coarse kind and {!Hdr}, via {!Histogram.merge}) add;
+(** Counters and histogram populations (count, sum, per-bucket tallies,
+    via {!Histogram.merge}) add;
     gauges keep the element-wise maximum of [last] and [peak].
     Gauges deliberately do {e not} use a last-writer rule: merged
     snapshots typically come from concurrently-running scopes (e.g. one
@@ -88,12 +73,6 @@ val absorb : t -> snapshot -> unit
     parallel fan-out returns per-domain registries to the caller's
     registry: [snapshot (absorb parent s)] equals [merge (snapshot
     parent) s] for instruments the parent already holds. *)
-
-val percentile : hist_data -> float -> float
-(** Upper edge of the bucket containing the given percentile rank —
-    within a factor of two of the exact order statistic. *)
-
-val mean : hist_data -> float
 
 val render : snapshot -> string
 (** Text exposition, one instrument per line. *)

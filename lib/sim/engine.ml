@@ -14,12 +14,24 @@ type handle = {
 let rec dummy =
   { time = 0; seq = 0; callback = (fun () -> ()); live = false; qnext = dummy }
 
-(* Intrusive twin of {!Calendar} (same Brown-1988 bucketed algorithm,
-   same lazy deletion and memoized minimum — keep the two in sync): the
-   handle itself is the bucket cell via [qnext], so steady-state
-   scheduling allocates only the handle the caller already pays for.
-   [dummy] doubles as the nil link/result sentinel; it is never
-   scheduled, so physical equality is unambiguous. *)
+(* Bucketed calendar queue (R. Brown, CACM 1988, adapted).  Handles
+   hash into buckets by [time / width mod n_buckets]; each bucket is a
+   list kept sorted by (time, seq), so two events at one timestamp
+   dequeue in scheduling order.  [pop] scans one lap of buckets from
+   the bucket of the last popped time, accepting only heads inside
+   their window for this lap, and falls back to a direct minimum over
+   the heads when the queue is sparse.  Cancelled entries are dropped
+   lazily when they surface at a bucket head; the table resizes, and
+   re-derives its width from the live events' spacing, when occupancy
+   strays far from the bucket count.  Together this keeps the exact
+   (time, seq) order of the heap backend; test_sim_compiled.ml checks
+   the two backends against each other and a sorted model.
+
+   The queue is intrusive: the handle itself is the bucket cell via
+   [qnext], so steady-state scheduling allocates only the handle the
+   caller already pays for.  [dummy] doubles as the nil link/result
+   sentinel; it is never scheduled, so physical equality is
+   unambiguous. *)
 module Iq = struct
   type cal = {
     mutable buckets : handle array;
@@ -246,8 +258,7 @@ type backend = [ `Binary_heap | `Calendar ]
 
    - [Heap]: a binary min-heap; cancelled entries are skipped on pop,
      which keeps cancel O(1).
-   - [Cal]: a bucketed calendar queue ({!Iq}, the intrusive twin of
-     {!Calendar}), O(1) expected
+   - [Cal]: a bucketed calendar queue ({!Iq}), O(1) expected
      enqueue/dequeue for the quasi-periodic populations simulations
      produce; the compiled engine's default.
 
@@ -277,7 +288,7 @@ type t = {
   m_scheduled : Obs.Metrics.counter;
   m_dead_dropped : Obs.Metrics.counter;
   m_heap_peak : Obs.Metrics.gauge;
-  m_clock_advance : Obs.Metrics.histogram;
+  m_clock_advance : Obs.Histogram.t;
 }
 
 let create ?(backend = `Binary_heap) ?obs () =
@@ -296,7 +307,7 @@ let create ?(backend = `Binary_heap) ?obs () =
     m_scheduled = Obs.Metrics.counter metrics "sim.engine.events_scheduled";
     m_dead_dropped = Obs.Metrics.counter metrics "sim.engine.dead_entries_dropped";
     m_heap_peak = Obs.Metrics.gauge metrics "sim.engine.heap_size";
-    m_clock_advance = Obs.Metrics.histogram metrics "sim.engine.clock_advance_ns";
+    m_clock_advance = Obs.Metrics.hdr metrics "sim.engine.clock_advance_ns";
   }
 
 let now_ns t = t.clock
@@ -457,7 +468,7 @@ let never = dummy
 let fire t handle =
   (if t.obs_on then begin
      let advance = handle.time - t.clock in
-     if advance > 0 then Obs.Metrics.observe t.m_clock_advance advance;
+     if advance > 0 then Obs.Histogram.record t.m_clock_advance advance;
      Obs.Metrics.inc t.m_fired
    end);
   t.clock <- handle.time;

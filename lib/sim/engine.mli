@@ -12,10 +12,10 @@ type handle
 type backend = [ `Binary_heap | `Calendar ]
 (** Event-queue implementation.  Both dequeue in the identical
     [(time, seq)] total order, so the choice never changes a
-    simulation's trace — [`Calendar] ({!Calendar}) has O(1) expected
-    operations on the quasi-periodic event populations simulations
-    produce and is what the compiled engine uses; [`Binary_heap] is the
-    reference. *)
+    simulation's trace — [`Calendar], a bucketed calendar queue (Brown
+    1988), has O(1) expected operations on the quasi-periodic event
+    populations simulations produce and is what the compiled engine
+    uses; [`Binary_heap] is the reference. *)
 
 val create : ?backend:backend -> ?obs:Obs.Scope.t -> unit -> t
 (** [backend] defaults to [`Binary_heap].  [obs] receives kernel

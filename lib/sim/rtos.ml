@@ -67,7 +67,7 @@ type t = {
   m_jobs : Obs.Metrics.counter;
   m_preemptions : Obs.Metrics.counter;
   m_queue_depth : Obs.Metrics.gauge;
-  m_sched_latency : Obs.Metrics.histogram;
+  m_sched_latency : Obs.Histogram.t;
 }
 
 let name t = t.name
@@ -152,7 +152,7 @@ and run_job t job =
   let started_at = Engine.now_ns t.engine in
   (if t.obs_on then begin
      Obs.Metrics.set t.m_queue_depth t.queue_len;
-     Obs.Metrics.observe t.m_sched_latency (started_at - job.ready_since)
+     Obs.Histogram.record t.m_sched_latency (started_at - job.ready_since)
    end);
   t.running <- job;
   t.run_started <- started_at;
@@ -207,7 +207,7 @@ let create ~engine ~name ~policy ~frequency_mhz ?(perf_factor = 1.0) ?obs () =
       m_jobs = Obs.Metrics.counter metrics (metric "jobs");
       m_preemptions = Obs.Metrics.counter metrics (metric "preemptions");
       m_queue_depth = Obs.Metrics.gauge metrics (metric "queue_depth");
-      m_sched_latency = Obs.Metrics.histogram metrics (metric "sched_latency_ns");
+      m_sched_latency = Obs.Metrics.hdr metrics (metric "sched_latency_ns");
     }
   in
   t.completion_fn <- (fun () -> complete_running t);

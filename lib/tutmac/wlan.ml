@@ -282,9 +282,6 @@ type tables = {
   state_tid : int array;  (** state id -> interned trace id *)
 }
 
-(* A compiled MAC carries its program's tables (shared by the fleet). *)
-type exec = Ref of Efsm.Interp.t | Comp of Efsm.Compiled.t * tables
-
 let tables_of prog trace =
   let or_none = Option.value ~default:(-1) in
   {
@@ -309,6 +306,9 @@ let tables_of prog trace =
           Sim.Trace.intern trace (Efsm.Compiled.state_name_of_id prog i));
   }
 
+(* The reference engine never reads the tables. *)
+let no_tables = { sids = [||]; pids = [||]; site_kind = [||]; state_tid = [||] }
+
 (* Named arguments of input [gsig] for the reference interpreter. *)
 let named_args gsig a0 a1 a2 =
   List.mapi
@@ -326,13 +326,8 @@ let rec raw_arg k = function
       | Efsm.Action.V_int x -> x
       | Efsm.Action.V_bool b -> if b then 1 else 0)
 
-let exec_var e name =
-  let value =
-    match e with
-    | Ref t -> Efsm.Interp.read_var t name
-    | Comp (t, _) -> Efsm.Compiled.read_var t name
-  in
-  match value with Some (Efsm.Action.V_int n) -> n | _ -> 0
+let read_int e name =
+  match Efsm.Host.read_var e name with Some (Efsm.Action.V_int n) -> n | _ -> 0
 
 (* ---- frames and terminals ------------------------------------------ *)
 
@@ -352,7 +347,7 @@ type terminal = {
   name_id : int;  (* interned in the trace *)
   profile : Workload.profile;
   class_name : string;
-  exec : exec;
+  exec : Efsm.Host.t;
   arrivals : Prng.t;
   backoff : Prng.t;
   mutable alive : bool;
@@ -536,12 +531,13 @@ let run ?(obs = Obs.Scope.null ()) config =
     mac_machine ~max_retries:config.max_retries ~cw_min:config.cw_min
       ~cw_max:config.cw_max
   in
-  let program =
+  (* One compiled program and its tables serve the whole fleet. *)
+  let program = lazy (Efsm.Compiled.compile machine) in
+  let program_of _ = Lazy.force program in
+  let tb =
     match config.engine with
-    | Codegen.Runtime.Compiled ->
-      let prog = Efsm.Compiled.compile machine in
-      Some (prog, tables_of prog trace)
-    | Codegen.Runtime.Reference -> None
+    | Codegen.Runtime.Compiled -> tables_of (Lazy.force program) trace
+    | Codegen.Runtime.Reference -> no_tables
   in
   let terminals =
     Array.init n (fun id ->
@@ -552,9 +548,7 @@ let run ?(obs = Obs.Scope.null ()) config =
           class_name =
             Workload.profile_name (Workload.profile_for ~mix:config.mix id);
           exec =
-            (match program with
-            | Some (prog, tables) -> Comp (Efsm.Compiled.create prog, tables)
-            | None -> Ref (Efsm.Interp.create machine));
+            Efsm.Host.create config.engine ~program:program_of machine;
           arrivals = Prng.split ~seed:config.seed ~stream:(2 * id);
           backoff = Prng.split ~seed:config.seed ~stream:((2 * id) + 1);
           alive = true;
@@ -647,7 +641,7 @@ let run ?(obs = Obs.Scope.null ()) config =
         ~signal:sig_id ~words ~tag;
     let base = !fx_top in
     (match t.exec with
-    | Comp (vm, tb) ->
+    | Efsm.Host.Vm vm ->
       let before = Efsm.Compiled.state_id vm in
       argv.(0) <- a0;
       argv.(1) <- a1;
@@ -673,7 +667,7 @@ let run ?(obs = Obs.Scope.null ()) config =
             (if argc > 1 then Efsm.Compiled.effect_arg vm k 1 else 0)
         done
       end
-    | Ref it ->
+    | Efsm.Host.Interp it ->
       let before = Efsm.Interp.state it in
       let step =
         Efsm.Interp.dispatch it ~signal:(fst inputs.(gsig))
@@ -1056,9 +1050,9 @@ let run ?(obs = Obs.Scope.null ()) config =
           ts_attempts = t.tx_attempts;
           ts_collisions = t.collided;
           ts_retries = t.retried;
-          ts_mac_tx_frames = exec_var t.exec "tx_frames";
-          ts_mac_rx_frames = exec_var t.exec "rx_frames";
-          ts_mac_rx_frags = exec_var t.exec "rx_frags";
+          ts_mac_tx_frames = read_int t.exec "tx_frames";
+          ts_mac_rx_frames = read_int t.exec "rx_frames";
+          ts_mac_rx_frags = read_int t.exec "rx_frags";
         })
       terminals
   in

@@ -12,10 +12,12 @@
      byte-identical, event for event;
    - scenario level: the TUTMAC case study (fault-free, fault-injected,
      flow-traced) under both engines with full-trace diffs;
-   - queue level: QCheck properties pinning Sim.Calendar to the exact
-     (time, seq) total order of the binary-heap backend, including
-     FIFO within a timestamp, ordering across buckets, lazy dead-entry
-     dropping, and resize behaviour. *)
+   - queue level: QCheck properties driving Sim.Engine's calendar
+     queue in lockstep with its binary-heap backend and a sorted model
+     through schedule_at_ns / cancel / rearm_ns / step: the exact
+     (time, seq) total order, FIFO within a timestamp, ordering across
+     buckets, lazy dead-entry dropping, resize behaviour, in-place
+     re-arming, and the same pending count throughout. *)
 
 open Efsm
 
@@ -865,7 +867,49 @@ let test_scenario_differential_flows () =
   check int_t "same flows completed" cr cc;
   check bool_t "flows were minted" true (mr > 0)
 
-(* -- calendar queue properties ---------------------------------------- *)
+(* -- event queue properties ------------------------------------------- *)
+
+(* The simulation kernel's own queues, driven in lockstep: one engine
+   per backend receives the same operations, and every callback logs
+   its (time, label) into its engine's lane.  The binary heap is the
+   oracle for the calendar queue; where the operations allow it, a
+   sorted model of the live events is a second one. *)
+type lane = { eng : Sim.Engine.t; mutable log : (int * int) list }
+
+let lanes () =
+  Array.map
+    (fun backend -> { eng = Sim.Engine.create ~backend (); log = [] })
+    [| `Calendar; `Binary_heap |]
+
+let callback lane label () =
+  lane.log <- (Sim.Engine.now_ns lane.eng, label) :: lane.log
+
+let schedule_all lanes ~time label =
+  Array.map
+    (fun l -> Sim.Engine.schedule_at_ns l.eng ~time (callback l label))
+    lanes
+
+let now lanes = Sim.Engine.now_ns lanes.(0).eng
+
+let agree what f lanes =
+  let calendar = f lanes.(0) and heap = f lanes.(1) in
+  if calendar <> heap then
+    QCheck.Test.fail_reportf "calendar and heap disagree on %s" what;
+  calendar
+
+(* Fire one event on every lane: all must fire the same one. *)
+let step_all lanes =
+  agree "the next event"
+    (fun l ->
+      if Sim.Engine.step l.eng then
+        match l.log with k :: _ -> Some k | [] -> None
+      else None)
+    lanes
+
+let check_pending lanes model =
+  let n = agree "pending" (fun l -> Sim.Engine.pending l.eng) lanes in
+  if n <> List.length model then
+    QCheck.Test.fail_reportf "pending %d, model holds %d" n (List.length model)
 
 let insert_sorted key l =
   let rec go = function
@@ -874,129 +918,93 @@ let insert_sorted key l =
   in
   go l
 
-(* The calendar must reproduce the exact (time, seq) total order of the
-   heap backend.  [spread] controls how times map to buckets: a small
-   spread packs many events (and timestamp collisions — FIFO territory)
-   into one bucket; a large spread crosses buckets and laps. *)
-let calendar_order_prop ~spread ops =
-  let c = Sim.Calendar.create ~live:(fun _ -> true) () in
-  let model = ref [] in
-  let floor = ref 0 in
-  let seq = ref 0 in
-  let take got =
-    match (got, !model) with
-    | Some got, expected :: rest ->
-      if got <> expected then
-        QCheck.Test.fail_reportf "pop order: got (%d,%d), expected (%d,%d)"
-          (fst got) (snd got) (fst expected) (snd expected);
-      model := rest;
-      floor := fst expected
-    | None, expected :: _ ->
-      QCheck.Test.fail_reportf "pop returned None, expected (%d,%d)"
-        (fst expected) (snd expected)
-    | Some got, [] ->
-      QCheck.Test.fail_reportf "pop returned (%d,%d), expected None" (fst got)
-        (snd got)
-    | None, [] -> ()
-  in
+(* Step every lane and check the event against the head of [model]
+   (the live events in (time, label) order); returns the model's rest. *)
+let take lanes model =
+  match (step_all lanes, model) with
+  | Some got, expected :: rest ->
+    if got <> expected then
+      QCheck.Test.fail_reportf "pop order: got (%d,%d), expected (%d,%d)"
+        (fst got) (snd got) (fst expected) (snd expected);
+    rest
+  | None, expected :: _ ->
+    QCheck.Test.fail_reportf "nothing fired, expected (%d,%d)" (fst expected)
+      (snd expected)
+  | Some got, [] ->
+    QCheck.Test.fail_reportf "fired (%d,%d) beyond the model" (fst got)
+      (snd got)
+  | None, [] -> []
+
+(* The queue must reproduce the exact (time, seq) total order.
+   [spread] controls how times map to buckets: a small spread packs
+   many events (and timestamp collisions — FIFO territory) into one
+   bucket; a large spread crosses buckets and laps. *)
+let queue_order_prop ~spread ops =
+  let lanes = lanes () in
+  let model = ref [] and label = ref 0 in
   List.iter
     (fun v ->
-      if v mod 5 = 0 && !model <> [] then take (Sim.Calendar.pop c)
+      if v mod 5 = 0 && !model <> [] then model := take lanes !model
       else begin
-        let t = !floor + (v mod spread) in
-        incr seq;
-        Sim.Calendar.add c ~time:t ~seq:!seq (t, !seq);
-        model := insert_sorted (t, !seq) !model
-      end)
+        let t = now lanes + (v mod spread) in
+        incr label;
+        ignore (schedule_all lanes ~time:t !label);
+        model := insert_sorted (t, !label) !model
+      end;
+      check_pending lanes !model)
     ops;
-  while !model <> [] || Sim.Calendar.peek c <> None do
-    (match (Sim.Calendar.peek c, !model) with
-    | Some got, expected :: _ when got <> expected ->
-      QCheck.Test.fail_reportf "peek disagrees with pop order"
-    | _ -> ());
-    take (Sim.Calendar.pop c)
+  while !model <> [] do
+    model := take lanes !model
   done;
+  ignore (take lanes []);
   true
 
-let gen_calendar_ops =
+let gen_queue_ops =
   QCheck.(list_of_size (Gen.int_range 1 300) (int_range 0 10_000))
 
 let prop_calendar_fifo =
   QCheck.Test.make ~name:"calendar: FIFO within a timestamp" ~count:200
-    gen_calendar_ops (calendar_order_prop ~spread:3)
+    gen_queue_ops (queue_order_prop ~spread:3)
 
 let prop_calendar_buckets =
   QCheck.Test.make ~name:"calendar: order across buckets" ~count:200
-    gen_calendar_ops (calendar_order_prop ~spread:9973)
+    gen_queue_ops (queue_order_prop ~spread:9973)
 
-(* Lazy cancellation: dead entries never come back, live order is
-   unchanged, and the drop counter moves. *)
+(* Lazy cancellation: cancelled events never fire, the live order is
+   unchanged, and [pending] counts live events only. *)
 let prop_calendar_dead =
   QCheck.Test.make ~name:"calendar: dead entries are dropped" ~count:200
-    gen_calendar_ops (fun ops ->
-      let dead = Hashtbl.create 64 in
-      let c = Sim.Calendar.create ~live:(fun (_, s) -> not (Hashtbl.mem dead s)) () in
-      let model = ref [] in
-      let floor = ref 0 in
-      let seq = ref 0 in
-      let pop_expected () =
-        let rec live = function
-          | [] -> []
-          | k :: rest -> if Hashtbl.mem dead (snd k) then live rest else k :: live rest
-        in
-        model := live !model;
-        match (Sim.Calendar.pop c, !model) with
-        | Some got, expected :: rest ->
-          if got <> expected then
-            QCheck.Test.fail_reportf "dead-drop pop order: got (%d,%d), expected (%d,%d)"
-              (fst got) (snd got) (fst expected) (snd expected);
-          model := rest;
-          floor := fst expected
-        | None, [] -> ()
-        | None, expected :: _ ->
-          QCheck.Test.fail_reportf "pop returned None, expected (%d,%d)"
-            (fst expected) (snd expected)
-        | Some got, [] ->
-          QCheck.Test.fail_reportf "pop returned (%d,%d), expected None"
-            (fst got) (snd got)
-      in
+    gen_queue_ops (fun ops ->
+      let lanes = lanes () in
+      let handles = Hashtbl.create 64 in
+      let model = ref [] and label = ref 0 in
       List.iter
         (fun v ->
-          match v mod 7 with
-          | 0 -> if !model <> [] then pop_expected ()
+          (match v mod 7 with
+          | 0 -> if !model <> [] then model := take lanes !model
           | 1 | 2 ->
-            (* cancel a random pending entry *)
-            if !seq > 0 then Hashtbl.replace dead (1 + (v mod !seq)) ()
+            if !label > 0 then begin
+              let victim = 1 + (v mod !label) in
+              Array.iter Sim.Engine.cancel (Hashtbl.find handles victim);
+              model := List.filter (fun (_, l) -> l <> victim) !model
+            end
           | _ ->
-            let t = !floor + (v mod 500) in
-            incr seq;
-            Sim.Calendar.add c ~time:t ~seq:!seq (t, !seq);
-            model := insert_sorted (t, !seq) !model)
+            let t = now lanes + (v mod 500) in
+            incr label;
+            Hashtbl.replace handles !label (schedule_all lanes ~time:t !label);
+            model := insert_sorted (t, !label) !model);
+          check_pending lanes !model)
         ops;
-      let rec drain () =
-        model := List.filter (fun k -> not (Hashtbl.mem dead (snd k))) !model;
-        match (Sim.Calendar.pop c, !model) with
-        | None, [] -> ()
-        | Some got, expected :: rest ->
-          if got <> expected then
-            QCheck.Test.fail_reportf "drain order: got (%d,%d), expected (%d,%d)"
-              (fst got) (snd got) (fst expected) (snd expected);
-          model := rest;
-          drain ()
-        | None, expected :: _ ->
-          QCheck.Test.fail_reportf "drain stopped early, expected (%d,%d)"
-            (fst expected) (snd expected)
-        | Some got, [] ->
-          QCheck.Test.fail_reportf "drained (%d,%d) beyond the model" (fst got)
-            (snd got)
-      in
-      drain ();
+      while !model <> [] do
+        model := take lanes !model
+      done;
+      ignore (take lanes []);
       true)
 
-(* Deterministic resize stress: enough entries to force bucket growth
-   and a spread that forces shrink on the way down. *)
+(* Deterministic resize stress: enough events to force bucket growth
+   and a drain that forces shrinking on the way down. *)
 let test_calendar_resize () =
-  let c = Sim.Calendar.create ~n_buckets:64 ~width:16 ~live:(fun _ -> true) () in
+  let lanes = lanes () in
   let lcg = ref 12345 in
   let next () =
     lcg := ((!lcg * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -1004,23 +1012,115 @@ let test_calendar_resize () =
   in
   let n = 5_000 in
   for s = 1 to n do
-    let t = next () mod 1_000_000 in
-    Sim.Calendar.add c ~time:t ~seq:s (t, s)
+    ignore (schedule_all lanes ~time:(next () mod 1_000_000) s)
   done;
-  check int_t "all stored" n (Sim.Calendar.length c);
+  check int_t "all stored" n (Sim.Engine.pending lanes.(0).eng);
   let last = ref (-1, -1) in
   let popped = ref 0 in
   let rec drain () =
-    match Sim.Calendar.pop c with
+    match step_all lanes with
     | None -> ()
-    | Some k ->
-      check bool_t "strictly increasing (time,seq)" true (compare !last k < 0);
-      last := k;
+    | Some (t, s) ->
+      (* labels are scheduling order, so (time, label) is (time, seq) *)
+      check bool_t "strictly increasing (time,seq)" true
+        (compare !last (t, s) < 0);
+      last := (t, s);
       incr popped;
       drain ()
   in
   drain ();
-  check int_t "all popped" n !popped
+  check int_t "all popped" n !popped;
+  check int_t "none pending" 0 (Sim.Engine.pending lanes.(0).eng)
+
+(* [rearm_ns] against the eager cancel-and-schedule of the heap: over
+   random schedules, cancels, re-arms and steps on a few timer slots,
+   both backends fire the same callbacks at the same times and report
+   the same [pending].  The cases the calendar's in-place re-keying has
+   to get right all arise: re-arming a live handle with its own
+   callback, re-arming one already cancelled or fired, re-arming
+   [Sim.Engine.never], and re-arming with a different callback (which
+   must not re-key). *)
+type rearm_op =
+  | Schedule of int * int
+  | Cancel of int
+  | Rearm_same of int * int
+  | Rearm_fresh of int * int
+  | Rearm_never of int * int
+  | Step
+
+let gen_rearm_op =
+  let slot = QCheck.Gen.int_range 0 3 in
+  (* tiny delays make (time, seq) ties; large ones cross buckets *)
+  let span = QCheck.Gen.(oneof [ int_range 0 3; int_range 0 5_000 ]) in
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map2 (fun s d -> Schedule (s, d)) slot span);
+        (1, map (fun s -> Cancel s) slot);
+        (3, map2 (fun s d -> Rearm_same (s, d)) slot span);
+        (1, map2 (fun s d -> Rearm_fresh (s, d)) slot span);
+        (1, map2 (fun s d -> Rearm_never (s, d)) slot span);
+        (3, return Step);
+      ])
+
+let print_rearm_op = function
+  | Schedule (s, d) -> Printf.sprintf "schedule %d +%d" s d
+  | Cancel s -> Printf.sprintf "cancel %d" s
+  | Rearm_same (s, d) -> Printf.sprintf "rearm %d +%d" s d
+  | Rearm_fresh (s, d) -> Printf.sprintf "rearm-fresh %d +%d" s d
+  | Rearm_never (s, d) -> Printf.sprintf "rearm-never %d +%d" s d
+  | Step -> "step"
+
+let prop_rearm =
+  QCheck.Test.make ~name:"calendar: rearm_ns fires like the heap" ~count:500
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map print_rearm_op ops))
+        Gen.(list_size (int_range 1 200) gen_rearm_op))
+    (fun ops ->
+      let lanes = lanes () in
+      let n_slots = 4 in
+      (* per lane: each slot's handle and the callback it re-arms with *)
+      let handles = Array.map (fun _ -> Array.make n_slots Sim.Engine.never) lanes in
+      let labels = ref n_slots in
+      let callbacks =
+        Array.map (fun l -> Array.init n_slots (fun s -> callback l s)) lanes
+      in
+      let each f = Array.iteri (fun i l -> f i l) lanes in
+      List.iter
+        (fun op ->
+          (match op with
+          | Schedule (s, d) ->
+            each (fun i l ->
+                handles.(i).(s) <-
+                  Sim.Engine.schedule_ns l.eng ~delay:d callbacks.(i).(s))
+          | Cancel s -> each (fun i _ -> Sim.Engine.cancel handles.(i).(s))
+          | Rearm_same (s, d) ->
+            each (fun i l ->
+                handles.(i).(s) <-
+                  Sim.Engine.rearm_ns l.eng handles.(i).(s) ~delay:d
+                    callbacks.(i).(s))
+          | Rearm_fresh (s, d) ->
+            let label = !labels in
+            incr labels;
+            each (fun i l ->
+                callbacks.(i).(s) <- callback l label;
+                handles.(i).(s) <-
+                  Sim.Engine.rearm_ns l.eng handles.(i).(s) ~delay:d
+                    callbacks.(i).(s))
+          | Rearm_never (s, d) ->
+            each (fun i l ->
+                handles.(i).(s) <-
+                  Sim.Engine.rearm_ns l.eng Sim.Engine.never ~delay:d
+                    callbacks.(i).(s))
+          | Step -> ignore (step_all lanes));
+          ignore (agree "pending" (fun l -> Sim.Engine.pending l.eng) lanes))
+        ops;
+      while step_all lanes <> None do
+        ()
+      done;
+      ignore (agree "the fired callbacks" (fun l -> l.log) lanes);
+      true)
 
 (* -- mailbox ----------------------------------------------------------- *)
 
@@ -1155,6 +1255,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_calendar_buckets;
           QCheck_alcotest.to_alcotest prop_calendar_dead;
           Alcotest.test_case "resize stress" `Quick test_calendar_resize;
+          QCheck_alcotest.to_alcotest prop_rearm;
         ] );
       ( "mailbox",
         [
