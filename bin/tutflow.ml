@@ -22,7 +22,7 @@ let model_config ~arbitration ~crc_sw =
 
 let duration_arg =
   let doc = "Simulated duration in milliseconds." in
-  Arg.(value & opt int 2000 & info [ "duration" ] ~docv:"MS" ~doc)
+  Arg.(value & opt (some ~none:"2000" int) None & info [ "duration" ] ~docv:"MS" ~doc)
 
 let arbitration_arg =
   let doc = "HIBI arbitration: priority or round_robin." in
@@ -59,7 +59,7 @@ let fault_seed_arg =
     "Seed of the fault-injection schedule; the same plan and seed replay \
      bit-identically."
   in
-  Arg.(value & opt int 1 & info [ "fault-seed" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some ~none:"1" int) None & info [ "fault-seed" ] ~docv:"N" ~doc)
 
 (* One flag selects both engine pairs: the EFSM execution engine of the
    simulation (Efsm.Compiled bytecode + calendar queue vs the
@@ -77,12 +77,13 @@ let sim_engine_arg =
   Arg.(
     value
     & opt
-        (enum
-           [
-             ("compiled", Codegen.Runtime.Compiled);
-             ("reference", Codegen.Runtime.Reference);
-           ])
-        Codegen.Runtime.Compiled
+        (some ~none:"compiled"
+           (enum
+              [
+                ("compiled", Codegen.Runtime.Compiled);
+                ("reference", Codegen.Runtime.Reference);
+              ]))
+        None
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let trace_backend_arg =
@@ -94,8 +95,10 @@ let trace_backend_arg =
   in
   Arg.(
     value
-    & opt (enum [ ("arena", Sim.Trace.Arena); ("list", Sim.Trace.List) ])
-        Sim.Trace.Arena
+    & opt
+        (some ~none:"arena"
+           (enum [ ("arena", Sim.Trace.Arena); ("list", Sim.Trace.List) ]))
+        None
     & info [ "trace-backend" ] ~docv:"BACKEND" ~doc)
 
 (* Model flags pick the model every subcommand reads.  Run flags only
@@ -107,23 +110,50 @@ let model_term =
     const (fun arbitration crc_sw -> model_config ~arbitration ~crc_sw)
     $ arbitration_arg $ crc_sw_arg)
 
-let config_term =
+(* The run configuration, with the run flags the command line gave (for
+   the modes of [tables] and [report] that do not simulate). *)
+let run_term =
   Term.(
     const
       (fun config duration_ms fifo faults fault_seed engine trace_backend ->
-        {
-          config with
-          Tutmac.Scenario.duration_ns =
-            Int64.mul (Int64.of_int duration_ms) 1_000_000L;
-          Tutmac.Scenario.scheduling =
-            (if fifo then Codegen.Ir.Fifo else Codegen.Ir.Priority_preemptive);
-          Tutmac.Scenario.faults = Option.value ~default:Fault.Plan.empty faults;
-          Tutmac.Scenario.fault_seed;
-          Tutmac.Scenario.engine;
-          Tutmac.Scenario.trace_backend;
-        })
+        let given flag = Option.map (fun _ -> flag) in
+        ( {
+            config with
+            Tutmac.Scenario.duration_ns =
+              Int64.mul (Int64.of_int (Option.value ~default:2000 duration_ms)) 1_000_000L;
+            Tutmac.Scenario.scheduling =
+              (if fifo then Codegen.Ir.Fifo else Codegen.Ir.Priority_preemptive);
+            Tutmac.Scenario.faults = Option.value ~default:Fault.Plan.empty faults;
+            Tutmac.Scenario.fault_seed = Option.value ~default:1 fault_seed;
+            Tutmac.Scenario.engine =
+              Option.value ~default:Codegen.Runtime.Compiled engine;
+            Tutmac.Scenario.trace_backend =
+              Option.value ~default:Sim.Trace.Arena trace_backend;
+          },
+          List.filter_map Fun.id
+            [
+              given "--duration" duration_ms;
+              (if fifo then Some "--fifo" else None);
+              given "--faults" faults;
+              given "--fault-seed" fault_seed;
+              given "--engine" engine;
+              given "--trace-backend" trace_backend;
+            ] ))
     $ model_term $ duration_arg $ fifo_arg $ faults_arg $ fault_seed_arg
     $ sim_engine_arg $ trace_backend_arg)
+
+let config_term = Term.(const fst $ run_term)
+
+(* A run flag on its own, for subcommands outside [run_term]. *)
+let or_default default arg = Term.(const (Option.value ~default) $ arg)
+
+(* A usage error naming the first run flag given to a mode that does not
+   simulate. *)
+let reject_run_flags given ~mode k =
+  match given with
+  | [] -> `Ok (k ())
+  | flag :: _ ->
+    `Error (true, Printf.sprintf "option '%s' does not apply to %s" flag mode)
 
 (* -- observability ----------------------------------------------------- *)
 
@@ -281,31 +311,34 @@ let via_xmi_arg =
   Arg.(value & flag & info [ "via-xmi" ] ~doc)
 
 let tables_cmd =
-  let run config table via_xmi =
+  let run (config, given) table via_xmi =
+    let fixed text =
+      reject_run_flags given ~mode:(Printf.sprintf "--table %d" table) (fun () ->
+          print_string text;
+          0)
+    in
     match table with
-    | 1 ->
-      print_string (Tut_profile.Summary.table1 ());
-      0
-    | 2 ->
-      print_string (Tut_profile.Summary.table2 ());
-      0
-    | 3 ->
-      print_string (Tut_profile.Summary.table3 ());
-      0
+    | 1 -> fixed (Tut_profile.Summary.table1 ())
+    | 2 -> fixed (Tut_profile.Summary.table2 ())
+    | 3 -> fixed (Tut_profile.Summary.table3 ())
     | 4 -> (
       match Tutmac.Scenario.run ~via_xmi config with
       | Error e ->
         prerr_endline e;
-        1
+        `Ok 1
       | Ok result ->
         print_string (Profiler.Report.render result.Tutmac.Scenario.report);
-        0)
+        `Ok 0)
     | n ->
       Printf.eprintf "no such table: %d\n" n;
-      1
+      `Ok 1
   in
-  Cmd.v (Cmd.info "tables" ~doc:"Regenerate the paper's tables")
-    Term.(const run $ config_term $ table_arg $ via_xmi_arg)
+  Cmd.v
+    (Cmd.info "tables"
+       ~doc:
+         "Regenerate the paper's tables (only table 4 simulates, so only it \
+          takes the run flags)")
+    Term.(ret (const run $ run_term $ table_arg $ via_xmi_arg))
 
 (* -- diagrams -------------------------------------------------------- *)
 
@@ -596,7 +629,7 @@ let replay_arg =
   Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE" ~doc)
 
 let report_cmd =
-  let run config format replay log =
+  let run (config, given) format replay log =
     let print report =
       match format with
       | `Text -> print_string (Profiler.Flow_report.render_text report)
@@ -605,15 +638,16 @@ let report_cmd =
           (Obs.Json.to_string (Profiler.Flow_report.render_json report))
     in
     match replay with
-    | Some path -> (
-      match Sim.Trace.load path with
-      | Error e ->
-        prerr_endline (path ^ ": " ^ e);
-        1
-      | Ok trace ->
-        print (Profiler.Flow_report.of_trace trace);
-        0)
-    | None -> (
+    | Some path ->
+      reject_run_flags given ~mode:"--replay" (fun () ->
+          match Sim.Trace.load path with
+          | Error e ->
+            prerr_endline (path ^ ": " ^ e);
+            1
+          | Ok trace ->
+            print (Profiler.Flow_report.of_trace trace);
+            0)
+    | None -> `Ok (
       (* A live scope (for the RTOS queue-depth gauges) plus an enabled
          flow tracker recording into the same registry. *)
       let obs = Obs.Scope.create () in
@@ -651,13 +685,24 @@ let report_cmd =
          "Run (or replay) a simulation with causal flow tracing and print \
           the end-to-end latency report: per-traffic-class histograms, \
           stage decomposition, platform utilisation, ARQ retries")
-    Term.(const run $ config_term $ report_format_arg $ replay_arg $ log_arg)
+    Term.(ret (const run $ run_term $ report_format_arg $ replay_arg $ log_arg))
 
 (* -- explore --------------------------------------------------------- *)
 
 let algorithm_arg =
   let doc = "Exploration algorithm: greedy, sa, random or exhaustive." in
-  Arg.(value & opt string "greedy" & info [ "algorithm" ] ~docv:"ALGO" ~doc)
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("greedy", `Greedy);
+             ("sa", `Sa);
+             ("random", `Random);
+             ("exhaustive", `Exhaustive);
+           ])
+        `Greedy
+    & info [ "algorithm" ] ~docv:"ALGO" ~doc)
 
 let seed_arg =
   let doc = "Random seed for stochastic algorithms." in
@@ -672,13 +717,13 @@ let jobs_arg =
     "Worker domains for the parallel exploration drivers (sa, random, \
      exhaustive).  0 means one per recommended core \
      (Domain.recommended_domain_count); any value returns identical \
-     results, only faster.  greedy is inherently sequential and ignores \
-     this."
+     results, only faster.  greedy is inherently sequential and rejects \
+     any value but 1."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let explore_cmd =
-  let run config algorithm seed iterations jobs =
+  let explore config algorithm seed iterations jobs =
     (* the shared --engine flag also picks the DSE cost kernel:
        compiled = pre-compiled incremental kernel, reference = plain
        closure-based cost model (bit-identical, the cross-check oracle) *)
@@ -698,65 +743,60 @@ let explore_cmd =
       let jobs =
         if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs
       in
-      let outcome =
+      let result =
         match algorithm, engine with
-        | "greedy", Codegen.Runtime.Reference ->
-          Ok (Dse.Explore.greedy ~eval ~candidates ~init ())
-        | "sa", Codegen.Runtime.Reference ->
-          Ok
-            (Dse.Parallel.simulated_annealing ~jobs ~seed ~iterations ~eval
-               ~candidates ~init ())
-        | "random", Codegen.Runtime.Reference ->
-          Ok
-            (Dse.Parallel.random_search ~jobs ~seed ~iterations ~eval
-               ~candidates ())
-        | "exhaustive", Codegen.Runtime.Reference ->
-          Ok (Dse.Parallel.exhaustive ~jobs ~eval ~candidates ())
-        | "greedy", Codegen.Runtime.Compiled ->
+        | `Greedy, Codegen.Runtime.Reference ->
+          Dse.Explore.greedy ~eval ~candidates ~init ()
+        | `Sa, Codegen.Runtime.Reference ->
+          Dse.Parallel.simulated_annealing ~jobs ~seed ~iterations ~eval
+            ~candidates ~init ()
+        | `Random, Codegen.Runtime.Reference ->
+          Dse.Parallel.random_search ~jobs ~seed ~iterations ~eval ~candidates ()
+        | `Exhaustive, Codegen.Runtime.Reference ->
+          Dse.Parallel.exhaustive ~jobs ~eval ~candidates ()
+        | `Greedy, Codegen.Runtime.Compiled ->
           let kernel =
             Dse.Compiled.compile
               (Dse.Compiled.spec ~profile ~platform ())
               ~candidates
           in
-          Ok (Dse.Explore.greedy_compiled ~kernel ~init ())
-        | "sa", Codegen.Runtime.Compiled ->
-          Ok
-            (Dse.Parallel.simulated_annealing_compiled ~jobs ~seed ~iterations
-               ~spec:(Dse.Compiled.spec ~profile ~platform ())
-               ~candidates ~init ())
-        | "random", Codegen.Runtime.Compiled ->
-          Ok
-            (Dse.Parallel.random_search_compiled ~jobs ~seed ~iterations
-               ~spec:(Dse.Compiled.spec ~profile ~platform ())
-               ~candidates ())
-        | "exhaustive", Codegen.Runtime.Compiled ->
-          Ok
-            (Dse.Parallel.exhaustive_compiled ~jobs
-               ~spec:(Dse.Compiled.spec ~profile ~platform ())
-               ~candidates ())
-        | other, _ -> Error ("unknown algorithm " ^ other)
+          Dse.Explore.greedy_compiled ~kernel ~init ()
+        | `Sa, Codegen.Runtime.Compiled ->
+          Dse.Parallel.simulated_annealing_compiled ~jobs ~seed ~iterations
+            ~spec:(Dse.Compiled.spec ~profile ~platform ())
+            ~candidates ~init ()
+        | `Random, Codegen.Runtime.Compiled ->
+          Dse.Parallel.random_search_compiled ~jobs ~seed ~iterations
+            ~spec:(Dse.Compiled.spec ~profile ~platform ())
+            ~candidates ()
+        | `Exhaustive, Codegen.Runtime.Compiled ->
+          Dse.Parallel.exhaustive_compiled ~jobs
+            ~spec:(Dse.Compiled.spec ~profile ~platform ())
+            ~candidates ()
       in
-      (match outcome with
-      | Error e ->
-        prerr_endline e;
-        1
-      | Ok result ->
-        if jobs > 1 && algorithm <> "greedy" then
-          Printf.printf "exploring with %d worker domains\n" jobs;
-        Printf.printf "initial mapping cost: %.2f\n" (eval init);
-        Printf.printf "best cost: %.2f after %d evaluations\n"
-          result.Dse.Explore.best_cost result.Dse.Explore.evaluations;
-        List.iter
-          (fun (group, pe) -> Printf.printf "  %-10s -> %s\n" group pe)
-          result.Dse.Explore.best;
-        0)
+      if jobs > 1 then Printf.printf "exploring with %d worker domains\n" jobs;
+      Printf.printf "initial mapping cost: %.2f\n" (eval init);
+      Printf.printf "best cost: %.2f after %d evaluations\n"
+        result.Dse.Explore.best_cost result.Dse.Explore.evaluations;
+      List.iter
+        (fun (group, pe) -> Printf.printf "  %-10s -> %s\n" group pe)
+        result.Dse.Explore.best;
+      0
+  in
+  (* Both checks run before the scenario simulates: an unknown
+     algorithm is a parse error, greedy with workers a usage error. *)
+  let run config algorithm seed iterations jobs =
+    if algorithm = `Greedy && jobs <> 1 then
+      `Error (true, "option '--jobs': greedy is sequential and takes no worker domains")
+    else `Ok (explore config algorithm seed iterations jobs)
   in
   Cmd.v
     (Cmd.info "explore"
        ~doc:"Explore alternative group-to-PE mappings over profiling data")
     Term.(
-      const run $ config_term $ algorithm_arg $ seed_arg $ iterations_arg
-      $ jobs_arg)
+      ret
+        (const run $ config_term $ algorithm_arg $ seed_arg $ iterations_arg
+       $ jobs_arg))
 
 (* -- analyze --------------------------------------------------------- *)
 
@@ -1172,7 +1212,9 @@ let check_cmd =
           M01-M06): deadlock, bounded-queue overflow, state and transition \
           coverage, with replayable counterexamples")
     Term.(
-      const run $ model_term $ sim_engine_arg $ model_arg $ check_format_arg
+      const run $ model_term
+      $ or_default Codegen.Runtime.Compiled sim_engine_arg
+      $ model_arg $ check_format_arg
       $ max_states_arg $ max_depth_arg $ queue_capacity_arg $ env_budget_arg
       $ timer_budget_arg
       $ on_off true "por"
@@ -1295,9 +1337,11 @@ let wlan_cmd =
          "Simulate a fleet of TUTWLAN terminals on a hostile shared channel \
           (collisions, channel faults, churn)")
     Term.(
-      const run $ duration_arg $ terminals_arg $ slot_arg $ seed_arg $ mix_arg
-      $ churn_arg $ retries_arg $ faults_arg $ fault_seed_arg $ sim_engine_arg
-      $ trace_backend_arg $ jobs_arg $ format_arg $ log_arg $ chrome_trace_arg
+      const run $ or_default 2000 duration_arg $ terminals_arg $ slot_arg
+      $ seed_arg $ mix_arg $ churn_arg $ retries_arg $ faults_arg
+      $ or_default 1 fault_seed_arg
+      $ or_default Codegen.Runtime.Compiled sim_engine_arg
+      $ or_default Sim.Trace.Arena trace_backend_arg $ jobs_arg $ format_arg $ log_arg $ chrome_trace_arg
       $ metrics_out_arg)
 
 (* -- faults ----------------------------------------------------------- *)

@@ -9,20 +9,20 @@ type queue_stats = {
 }
 
 (* A pending signal is one row of the process's flat mailbox ring: the
-   three int lanes carry (interned signal id, flow id, enqueued-at ns)
-   and the payload lane carries the named trigger arguments — no heap
-   record per queued event. *)
+   three int lanes carry (input id, -1 for a timer expiry; flow id;
+   enqueued-at ns) and the payload lane the positional raw arguments,
+   [argc] tag codes then [argc] values. *)
 type proc_rt = {
   decl : Ir.proc_decl;
   name_id : int;  (** process name interned in the runtime's trace *)
   exec : Efsm.Host.t;
-  queue : (string * Efsm.Action.value) list Sim.Mailbox.Flat.t;
-      (** lanes: a = interned signal id, b = flow id, c = enqueued_at *)
+  state_tid : int array;  (** state id -> interned trace id *)
+  queue : int array Sim.Mailbox.Flat.t;
   mutable busy : bool;
   mutable timer : Sim.Engine.handle;
       (** outstanding After-timer event; [Sim.Engine.never] when none *)
-  mutable armed_state : string;
-      (** state the timer was armed in; stale firings are discarded *)
+  mutable armed_state : int;
+      (** state id the timer was armed in; stale firings are discarded *)
   mutable timer_fire : unit -> unit;
       (** shared per-process timer callback (wired after [create] builds
           the runtime record), so re-arming allocates no closure *)
@@ -30,23 +30,13 @@ type proc_rt = {
       (** scheduler of the PE the process currently runs on (the
           environment scheduler for env processes); refreshed on
           degradation re-mapping so the hot path never re-resolves it *)
-  mutable eff_rest : Efsm.Action.effect list;
-      (** effects left in a list-backed chain; see [eff_cont] *)
-  mutable eff_idx : int;
-      (** next effect in a buffer-backed (compiled) chain *)
+  mutable eff_idx : int;  (** next effect of the chain in flight *)
   mutable eff_k : unit -> unit;  (** continuation after the chain *)
   mutable eff_cycles : int;  (** cycles of the burst in flight *)
   mutable eff_cont : unit -> unit;
-      (** shared compute-burst completion for list-backed chains:
-          records the burst and resumes [eff_rest]; one outstanding
-          chain per process ([busy]) makes a single cell per process
-          enough *)
-  mutable eff_cont_b : unit -> unit;
-      (** ditto for buffer-backed chains, resuming at [eff_idx] *)
-  mutable sig_map : int array;
-      (** compiled engine: trace signal id -> VM dispatch-table id
-          (memo; -2 unresolved, -1 not a signal of this machine), so
-          steady-state dispatch never hashes a signal name *)
+      (** shared compute-burst completion: records the burst and resumes
+          the chain at [eff_idx]; one outstanding chain per process
+          ([busy]) makes a single cell per process enough *)
   mutable finish_fn : unit -> unit;
       (** shared end-of-dispatch continuation (unbusy, re-arm, pump) *)
   mutable current_flow : int;
@@ -54,25 +44,19 @@ type proc_rt = {
           inherit this id (causal propagation); -1 outside handling *)
   stats : queue_stats;
   track : string;  (** tracing lane, "proc/<name>" *)
-  routes : (string, (string, route) Hashtbl.t) Hashtbl.t;
-      (** port -> signal -> precompiled route; the same destinations /
-          payload words / parameter names {!Ir.destinations},
-          {!Ir.signal_words} and {!Ir.signal_params} would compute,
-          resolved once at load instead of scanned per send.  Nested
-          tables (rather than a [(port, signal)] key) so the per-send
-          lookup allocates no key tuple. *)
+  mutable routes : route array;
+      (** per site ({!Efsm.Host.sites}), resolved once every process exists *)
   m_sends : Obs.Metrics.counter;
   m_discards : Obs.Metrics.counter;
 }
 
 and route = {
-  r_dests : string list;  (** bindings order, like [Ir.destinations] *)
-  r_words : int;
-  r_params : string array;  (** receiver parameter names, positional *)
+  r_port : string;
+  r_signal : string;
+  r_input : int;  (** the signal's input id at the receivers *)
   r_sig_id : int;  (** the signal, interned *)
-  mutable r_targets : target array;
-      (** [r_dests] with name ids and process instances resolved — a
-          second pass fills this once the process table exists *)
+  r_words : int;
+  r_targets : target array;  (** bindings order, like [Ir.destinations] *)
 }
 
 and target = {
@@ -128,27 +112,28 @@ type t = {
   trace_on : bool;
   flows : Obs.Flow.t;
   flows_on : bool;
+  inputs : (string * string array) array;
+      (** every signal of the system, with its positional parameter
+          names: the receivers' declared parameters, then [arg<k>] for
+          any further argument a send site passes *)
+  input_ids : (string, int) Hashtbl.t;
+  input_tid : int array;  (** input id -> interned trace id *)
+  argt : int array;
+  argv : int array;  (** the dispatched event's arguments, unpacked *)
   (* Ids interned once at load so the hot emit sites append plain ints. *)
-  timeout_id : int;
   st_born : int;
   st_queue : int;
   st_process : int;
   st_transfer : int;
   st_retransmit : int;
   st_end : int;
-  overhead_eff : Efsm.Action.effect;
-      (** [Eff_compute dispatch_overhead_cycles], shared by every event *)
-  overhead_cycles : int;  (** same value unwrapped, for the cursor path *)
+  overhead_cycles : int;  (** charged to every handled event *)
   m_exec_cycles : Obs.Metrics.counter;
       (** cycles of application (non-environment) execution — matches the
           report's total, see {!Profiler.Report.cross_check} *)
   m_signals : Obs.Metrics.counter;
   m_discard_total : Obs.Metrics.counter;
 }
-
-(* Timer expiries are queued like signals so a busy process finishes its
-   current event first; the marker never collides with model signals. *)
-let timeout_signal = "__timeout__"
 
 let engine t = t.engine
 let trace t = t.trace
@@ -202,26 +187,11 @@ let same_pe t a b =
 
 let local_delivery_ns = 100
 
-(* Trace signal id -> compiled dispatch-table id, memoised per process:
-   after the first delivery of each signal the hot path never hashes a
-   signal name again. *)
-let vm_sid t proc vm sig_id =
-  (if sig_id >= Array.length proc.sig_map then begin
-     let m = Array.make ((2 * sig_id) + 8) (-2) in
-     Array.blit proc.sig_map 0 m 0 (Array.length proc.sig_map);
-     proc.sig_map <- m
-   end);
-  let sid = proc.sig_map.(sig_id) in
-  if sid <> -2 then sid
-  else begin
-    let sid = Efsm.Compiled.signal_id vm (Sim.Trace.interned t.trace sig_id) in
-    proc.sig_map.(sig_id) <- sid;
-    sid
-  end
+let no_args = [||]
 
 let rec pump t proc =
   if (not proc.busy) && not (Sim.Mailbox.Flat.is_empty proc.queue) then begin
-    let sig_id = Sim.Mailbox.Flat.head_a proc.queue in
+    let input = Sim.Mailbox.Flat.head_a proc.queue in
     let flow = Sim.Mailbox.Flat.head_b proc.queue in
     let enqueued_at = Sim.Mailbox.Flat.head_c proc.queue in
     let args = Sim.Mailbox.Flat.pop proc.queue in
@@ -237,36 +207,19 @@ let rec pump t proc =
         ~where_:proc.name_id ~dur:wait
     end;
     proc.busy <- true;
-    let before_state = Efsm.Host.state proc.exec in
-    let is_timeout = sig_id = t.timeout_id in
-    (* Compiled instances dispatch by pre-resolved table id and leave
-       the effects in the VM's buffer (walked in place by
-       [run_effects_c]); the reference interpreter keeps its step/list
-       contract.  Both paths fire the same transitions. *)
+    let h = proc.exec in
+    let before = Efsm.Host.state_id h in
+    let is_timeout = input < 0 in
     let fired =
-      match proc.exec with
-      | Efsm.Host.Vm vm ->
-        if is_timeout then
-          Efsm.Compiled.fire_timer_id vm ~entered_state:before_state
-        else
-          Efsm.Compiled.dispatch_id vm ~sid:(vm_sid t proc vm sig_id) ~args
-      | Efsm.Host.Interp i ->
-        let step =
-          if is_timeout then
-            Efsm.Interp.fire_timer i ~entered_state:before_state
-          else
-            Efsm.Interp.dispatch i
-              ~signal:(Sim.Trace.interned t.trace sig_id)
-              ~args
-        in
-        (match step.Efsm.Interp.fired with
-        | None -> false
-        | Some _ ->
-          proc.eff_rest <- step.Efsm.Interp.effects;
-          true)
+      if is_timeout then Efsm.Host.fire_timer h
+      else begin
+        let argc = Array.length args / 2 in
+        Array.blit args 0 t.argt 0 argc;
+        Array.blit args argc t.argv 0 argc;
+        Efsm.Host.dispatch h ~input ~argt:t.argt ~argv:t.argv ~off:0 ~argc
+      end
     in
-    match fired with
-    | false ->
+    if fired < 0 then begin
       if (not is_timeout) && not (is_env proc) then begin
         (if t.obs_on then begin
            Obs.Metrics.inc proc.m_discards;
@@ -275,27 +228,26 @@ let rec pump t proc =
         if t.trace_on then
           Obs.Tracer.instant t.tracer ~ts_ns:(Int64.of_int now)
             ~cat:"app" ~track:proc.track
-            ~args:
-              [ ("signal", Obs.Span.Str (Sim.Trace.interned t.trace sig_id)) ]
+            ~args:[ ("signal", Obs.Span.Str (fst t.inputs.(input))) ]
             "discard";
         Sim.Trace.record_discard t.trace ~time:now ~process:proc.name_id
-          ~signal:sig_id
+          ~signal:t.input_tid.(input)
       end;
       proc.busy <- false;
       pump t proc
-    | true ->
-      let after_state = Efsm.Host.state proc.exec in
+    end
+    else begin
       if not (is_env proc) then
         Sim.Trace.record_state_change t.trace ~time:now
-          ~process:proc.name_id
-          ~from_:(Sim.Trace.intern t.trace before_state)
-          ~to_:(Sim.Trace.intern t.trace after_state);
+          ~process:proc.name_id ~from_:proc.state_tid.(before)
+          ~to_:proc.state_tid.(Efsm.Host.state_id h);
       (* Only build the span/flow-emitting continuation when observing;
          the common path reuses the process's lifetime continuation. *)
       let k =
         if (t.trace_on || (t.flows_on && flow >= 0)) && not (is_env proc)
         then begin
           let handled_at = now in
+          let after_state = Efsm.Host.state h in
           fun () ->
             let now = Sim.Engine.now_ns t.engine in
             let dur = now - handled_at in
@@ -303,8 +255,7 @@ let rec pump t proc =
               Obs.Tracer.complete t.tracer ~ts_ns:(Int64.of_int handled_at)
                 ~dur_ns:(Int64.of_int dur) ~cat:"app" ~track:proc.track
                 ~args:[ ("to_state", Obs.Span.Str after_state) ]
-                (if is_timeout then "timeout"
-                 else Sim.Trace.interned t.trace sig_id);
+                (if is_timeout then "timeout" else fst t.inputs.(input));
             if t.flows_on && flow >= 0 then begin
               Obs.Flow.hop_ns t.flows ~flow ~stage:Obs.Flow.Process
                 ~dur_ns:dur;
@@ -317,101 +268,65 @@ let rec pump t proc =
       in
       (* Every handled event is charged the dispatch overhead burst
          before its own effects run. *)
-      (match proc.exec with
-      | Efsm.Host.Vm _ ->
-        proc.eff_idx <- 0;
-        proc.eff_k <- k;
-        proc.eff_cycles <- t.overhead_cycles;
-        Sim.Rtos.submit_i proc.sched ~task:proc.decl.Ir.proc_name
-          ~priority:proc.decl.Ir.priority ~flow:proc.current_flow
-          ~cycles:t.overhead_cycles proc.eff_cont_b
-      | Efsm.Host.Interp _ ->
-        run_effects t proc (t.overhead_eff :: proc.eff_rest) k)
+      proc.eff_idx <- 0;
+      proc.eff_k <- k;
+      proc.eff_cycles <- t.overhead_cycles;
+      Sim.Rtos.submit_i proc.sched ~task:proc.decl.Ir.proc_name
+        ~priority:proc.decl.Ir.priority ~flow:proc.current_flow
+        ~cycles:t.overhead_cycles proc.eff_cont
+    end
   end
 
-and run_effects t proc effects k =
-  match effects with
-  | [] -> k ()
-  | Efsm.Action.Eff_compute cycles :: rest ->
-    (* Park the chain state on the process and reuse its lifetime
-       continuation: a compute burst submits with zero closure
-       allocations.  Sound because [busy] serialises effect chains —
-       at most one is outstanding per process. *)
-    proc.eff_rest <- rest;
-    proc.eff_k <- k;
+(* Walk the host's effect cursor from effect [i], then run [eff_k].  A
+   compute burst parks the chain on the process and submits with the
+   process's lifetime continuation, so it allocates no closure: sound
+   because [busy] serialises effect chains — at most one is outstanding
+   per process, and nothing steps the host until it ends. *)
+and run_effects t proc i =
+  let h = proc.exec in
+  if i >= Efsm.Host.effect_count h then proc.eff_k ()
+  else if Efsm.Host.effect_site h i < 0 then begin
+    let cycles = Efsm.Host.effect_arg h i 0 in
+    proc.eff_idx <- i + 1;
     proc.eff_cycles <- cycles;
     Sim.Rtos.submit_i proc.sched ~task:proc.decl.Ir.proc_name
       ~priority:proc.decl.Ir.priority ~flow:proc.current_flow ~cycles
       proc.eff_cont
-  | Efsm.Action.Eff_send { port; signal; args } :: rest ->
-    send t proc ~port ~signal ~args;
-    run_effects t proc rest k
-
-(* Buffer-backed twin of [run_effects] for compiled instances: walks
-   the VM's effect buffer by index, so a fired transition allocates no
-   effect list and no per-burst closure.  Compute bursts are read raw
-   (site [-1], cycles in argument 0); only sends are boxed, for [send]. *)
-and run_effects_c t proc vm i k =
-  if i >= Efsm.Compiled.effect_count vm then k ()
-  else if Efsm.Compiled.effect_site vm i < 0 then begin
-    let cycles = Efsm.Compiled.effect_arg vm i 0 in
-    proc.eff_idx <- i + 1;
-    proc.eff_k <- k;
-    proc.eff_cycles <- cycles;
-    Sim.Rtos.submit_i proc.sched ~task:proc.decl.Ir.proc_name
-      ~priority:proc.decl.Ir.priority ~flow:proc.current_flow ~cycles
-      proc.eff_cont_b
   end
   else begin
-    (match Efsm.Compiled.effect_at vm i with
-    | Efsm.Action.Eff_send { port; signal; args } ->
-      send t proc ~port ~signal ~args
-    | Efsm.Action.Eff_compute _ -> assert false);
-    run_effects_c t proc vm (i + 1) k
+    send t proc i;
+    run_effects t proc (i + 1)
   end
 
-(* A send with no binding still needs words/params/a trace id; built on
-   the (cold) miss path only. *)
-and missing_route t signal =
-  {
-    r_dests = [];
-    r_words = Ir.signal_words t.sys signal;
-    r_params = Array.of_list (Ir.signal_params t.sys signal);
-    r_sig_id = Sim.Trace.intern t.trace signal;
-    r_targets = [||];
-  }
-
-and send t proc ~port ~signal ~args =
-  let route =
-    match Hashtbl.find proc.routes port with
-    | by_signal -> (
-      match Hashtbl.find by_signal signal with
-      | r -> r
-      | exception Not_found -> missing_route t signal)
-    | exception Not_found -> missing_route t signal
-  in
+(* Send effect [i] of the host's cursor along its site's route. *)
+and send t proc i =
+  let h = proc.exec in
+  let route = proc.routes.(Efsm.Host.effect_site h i) in
+  let signal = route.r_signal in
   if Array.length route.r_targets = 0 then
     t.errors <-
-      Printf.sprintf "no binding for %s.%s!%s" proc.decl.Ir.proc_name port signal
+      Printf.sprintf "no binding for %s.%s!%s" proc.decl.Ir.proc_name
+        route.r_port signal
       :: t.errors;
   let words = route.r_words in
-  (* Positional send arguments become the named trigger parameters the
-     receiving machine declared for this signal. *)
-  let named_args =
-    List.mapi
-      (fun i value ->
-        if i < Array.length route.r_params then (route.r_params.(i), value)
-        else (Printf.sprintf "arg%d" i, value))
-      args
+  (* Positional raw arguments, bound by the receiving machine's input
+     table: [argc] tag codes, then [argc] values. *)
+  let argc = Efsm.Host.effect_argc h i in
+  let args =
+    if argc = 0 then no_args
+    else begin
+      let a = Array.make (2 * argc) 0 in
+      for k = 0 to argc - 1 do
+        a.(k) <- Efsm.Host.effect_arg_tag h i k;
+        a.(argc + k) <- Efsm.Host.effect_arg h i k
+      done;
+      a
+    end
   in
   (* The first (non-negative) integer argument is recorded as the
      correlation tag — for TUTMAC that is the MSDU/PDU sequence number,
      which lets the profiler compute end-to-end latencies. *)
-  let tag =
-    match args with
-    | Efsm.Action.V_int n :: _ when n >= 0 -> n
-    | _ -> -1
-  in
+  let tag = if argc > 0 && args.(0) = 1 && args.(argc) >= 0 then args.(argc) else -1 in
   (* Causal propagation: a send made while handling a flow-carrying
      event rides that flow; a send with no inherited context (an
      environment stimulus, a timer-driven transmission opportunity)
@@ -443,9 +358,9 @@ and send t proc ~port ~signal ~args =
           ~sender:proc.name_id ~receiver:tgt.tgt_name_id
           ~signal:route.r_sig_id ~words ~tag;
         let base_deliver () =
-          Sim.Mailbox.Flat.push dst.queue route.r_sig_id msg_flow
+          Sim.Mailbox.Flat.push dst.queue route.r_input msg_flow
             (Sim.Engine.now_ns t.engine)
-            named_args;
+            args;
           pump t dst
         in
         let deliver =
@@ -698,7 +613,7 @@ and arm_timer t proc =
     Sim.Engine.cancel proc.timer;
     proc.timer <- Sim.Engine.never
   | Some delay_ns ->
-    proc.armed_state <- Efsm.Host.state proc.exec;
+    proc.armed_state <- Efsm.Host.state_id proc.exec;
     proc.timer <-
       Sim.Engine.rearm_ns t.engine proc.timer ~delay:delay_ns proc.timer_fire
 
@@ -887,142 +802,142 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
     | Some f ->
       Hibi.Network.set_fault_hook network
         (Some
-           (fun ~segment ~words ->
-             ignore words;
-             match
-               Fault.Injector.hibi_action f.injector
-                 ~now:(Sim.Engine.now engine) ~segment
-             with
+           (fun ~segment ~words:_ ->
+             let now = Sim.Engine.now engine in
+             let logged kind info action =
+               Sim.Trace.record trace_store
+                 (Sim.Trace.Fault { time = now; kind; target = segment; info });
+               action
+             in
+             match Fault.Injector.hibi_action f.injector ~now ~segment with
              | Fault.Injector.Pass -> Hibi.Network.Pass
-             | Fault.Injector.Drop ->
-               Sim.Trace.record trace_store
-                 (Sim.Trace.Fault
-                    {
-                      time = Sim.Engine.now engine;
-                      kind = "hibi_drop";
-                      target = segment;
-                      info = "-";
-                    });
-               Hibi.Network.Drop
+             | Fault.Injector.Drop -> logged "hibi_drop" "-" Hibi.Network.Drop
              | Fault.Injector.Corrupt ->
-               Sim.Trace.record trace_store
-                 (Sim.Trace.Fault
-                    {
-                      time = Sim.Engine.now engine;
-                      kind = "hibi_corrupt";
-                      target = segment;
-                      info = "-";
-                    });
-               Hibi.Network.Corrupt
+               logged "hibi_corrupt" "-" Hibi.Network.Corrupt
              | Fault.Injector.Stall ns ->
-               Sim.Trace.record trace_store
-                 (Sim.Trace.Fault
-                    {
-                      time = Sim.Engine.now engine;
-                      kind = "hibi_stall";
-                      target = segment;
-                      info = Int64.to_string ns;
-                    });
-               Hibi.Network.Stall ns))
+               logged "hibi_stall" (Int64.to_string ns) (Hibi.Network.Stall ns)))
     | None -> ());
     let procs = Hashtbl.create 32 in
     (* One compiled program per distinct machine value: instances of the
-       same class share their dispatch tables and bytecode. *)
-    let programs = ref [] in
-    let program_of m =
-      match List.find_opt (fun (m', _) -> m' == m) !programs with
-      | Some (_, p) -> p
-      | None ->
-        let p = Efsm.Compiled.compile m in
-        programs := (m, p) :: !programs;
-        p
+       same class share their tables and bytecode. *)
+    let programs =
+      List.fold_left
+        (fun acc (d : Ir.proc_decl) ->
+          let m = d.Ir.machine in
+          if List.mem_assq m acc then acc else (m, Efsm.Compiled.compile m) :: acc)
+        [] sys.Ir.procs
+      |> List.rev
     in
-    let routes_for name =
-      let by_port = Hashtbl.create 8 in
-      List.iter
-        (fun (b : Ir.binding) ->
-          if b.Ir.b_src = name then begin
-            let by_signal =
-              match Hashtbl.find_opt by_port b.Ir.b_port with
-              | Some tbl -> tbl
-              | None ->
-                let tbl = Hashtbl.create 4 in
-                Hashtbl.replace by_port b.Ir.b_port tbl;
-                tbl
-            in
-            let r =
-              match Hashtbl.find_opt by_signal b.Ir.b_signal with
-              | Some r -> r
-              | None ->
-                {
-                  r_dests = [];
-                  r_words = Ir.signal_words sys b.Ir.b_signal;
-                  r_params = Array.of_list (Ir.signal_params sys b.Ir.b_signal);
-                  r_sig_id = Sim.Trace.intern trace_store b.Ir.b_signal;
-                  r_targets = [||];
-                }
-            in
-            (* append keeps bindings order, matching [Ir.destinations] *)
-            Hashtbl.replace by_signal b.Ir.b_signal
-              { r with r_dests = r.r_dests @ [ b.Ir.b_dst ] }
-          end)
-        sys.Ir.bindings;
-      by_port
+    (* Every signal a machine consumes or sends is an input of every
+       program.  A send's arguments past the signal's declared
+       parameters bind as [arg<k>], so the names run to its widest send. *)
+    let widest = Hashtbl.create 64 and order = ref [] in
+    let note name argc =
+      match Hashtbl.find_opt widest name with
+      | None ->
+        order := name :: !order;
+        Hashtbl.add widest name argc
+      | Some w -> Hashtbl.replace widest name (max w argc)
+    in
+    List.iter
+      (fun (m, p) ->
+        List.iter (fun s -> note s 0) (Efsm.Machine.signals_consumed m);
+        Array.iter
+          (fun (site : Efsm.Compiled.send_site) ->
+            note site.Efsm.Compiled.s_signal site.Efsm.Compiled.s_argc)
+          (Efsm.Compiled.send_sites p))
+      programs;
+    let inputs =
+      Array.of_list
+        (List.rev_map
+           (fun name ->
+             let declared = Array.of_list (Ir.signal_params sys name) in
+             let n = Array.length declared in
+             ( name,
+               Array.init (max n (Hashtbl.find widest name)) (fun k ->
+                   if k < n then declared.(k) else Printf.sprintf "arg%d" k) ))
+           !order)
+    in
+    let input_ids = Hashtbl.create 64 in
+    Array.iteri (fun i (name, _) -> Hashtbl.add input_ids name i) inputs;
+    let input_tid =
+      Array.map (fun (name, _) -> Sim.Trace.intern trace_store name) inputs
+    in
+    let tables =
+      List.map
+        (fun (m, p) ->
+          ( m,
+            ( Efsm.Host.table p ~inputs,
+              Array.init (Efsm.Compiled.n_states p) (fun i ->
+                  Sim.Trace.intern trace_store (Efsm.Compiled.state_name_of_id p i)) ) ))
+        programs
     in
     List.iter
       (fun (decl : Ir.proc_decl) ->
         let name = decl.Ir.proc_name in
+        let table, state_tid = List.assq decl.Ir.machine tables in
         Hashtbl.replace procs name
           {
             decl;
             name_id = Sim.Trace.intern trace_store name;
-            exec =
-              Efsm.Host.create engine_kind ~program:program_of
-                decl.Ir.machine;
-            queue = Sim.Mailbox.Flat.create ~dummy:[] ();
+            exec = Efsm.Host.create engine_kind table;
+            state_tid;
+            queue = Sim.Mailbox.Flat.create ~dummy:no_args ();
             busy = false;
             timer = Sim.Engine.never;
-            armed_state = "";
+            armed_state = -1;
             timer_fire = ignore;
             sched = env_rtos;
-            eff_rest = [];
             eff_idx = 0;
             eff_k = ignore;
             eff_cycles = 0;
             eff_cont = ignore;
-            eff_cont_b = ignore;
-            sig_map = [||];
             finish_fn = ignore;
             current_flow = -1;
             stats = { handled = 0; total_wait_ns = 0; max_wait_ns = 0 };
             track = "proc/" ^ name;
-            routes = routes_for name;
+            routes = [||];
             m_sends = Obs.Metrics.counter metrics ("app." ^ name ^ ".sends");
             m_discards = Obs.Metrics.counter metrics ("app." ^ name ^ ".discards");
           })
       sys.Ir.procs;
-    (* Second pass: resolve each route's destinations to process
-       instances (and interned ids) now that every process exists, so a
-       send walks a flat array instead of hashing per destination. *)
+    (* Second pass, now that every process exists: one route per site,
+       its destinations resolved to process instances and interned ids,
+       so a send walks a flat array instead of hashing. *)
     Hashtbl.iter
-      (fun _ proc ->
-        Hashtbl.iter
-          (fun _ by_signal ->
-            Hashtbl.iter
-              (fun _ r ->
-                r.r_targets <-
+      (fun name proc ->
+        proc.routes <-
+          Array.map
+            (fun (port, signal) ->
+              let input = Hashtbl.find input_ids signal in
+              {
+                r_port = port;
+                r_signal = signal;
+                r_input = input;
+                r_sig_id = input_tid.(input);
+                r_words = Ir.signal_words sys signal;
+                r_targets =
                   Array.of_list
-                    (List.map
-                       (fun d ->
-                         {
-                           tgt_name = d;
-                           tgt_name_id = Sim.Trace.intern trace_store d;
-                           tgt_proc = Hashtbl.find_opt procs d;
-                         })
-                       r.r_dests))
-              by_signal)
-          proc.routes)
+                    (List.filter_map
+                       (fun (b : Ir.binding) ->
+                         if
+                           b.Ir.b_src = name && b.Ir.b_port = port
+                           && b.Ir.b_signal = signal
+                         then
+                           Some
+                             {
+                               tgt_name = b.Ir.b_dst;
+                               tgt_name_id = Sim.Trace.intern trace_store b.Ir.b_dst;
+                               tgt_proc = Hashtbl.find_opt procs b.Ir.b_dst;
+                             }
+                         else None)
+                       sys.Ir.bindings);
+              })
+            (Efsm.Host.sites (fst (List.assq proc.decl.Ir.machine tables))))
       procs;
+    let width =
+      Array.fold_left (fun acc (_, params) -> max acc (Array.length params)) 1 inputs
+    in
     let t =
       {
         sys;
@@ -1039,14 +954,17 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
         trace_on = Obs.Tracer.enabled (Obs.Scope.tracer obs);
         flows;
         flows_on = Obs.Flow.enabled flows;
-        timeout_id = Sim.Trace.intern trace_store timeout_signal;
+        inputs;
+        input_ids;
+        input_tid;
+        argt = Array.make width 0;
+        argv = Array.make width 0;
         st_born = Sim.Trace.intern trace_store "born";
         st_queue = Sim.Trace.intern trace_store "queue";
         st_process = Sim.Trace.intern trace_store "process";
         st_transfer = Sim.Trace.intern trace_store "transfer";
         st_retransmit = Sim.Trace.intern trace_store "retransmit";
         st_end = Sim.Trace.intern trace_store "end";
-        overhead_eff = Efsm.Action.Eff_compute sys.Ir.dispatch_overhead_cycles;
         overhead_cycles = sys.Ir.dispatch_overhead_cycles;
         m_exec_cycles = Obs.Metrics.counter metrics "app.exec_cycles_total";
         m_signals = Obs.Metrics.counter metrics "app.signals_sent";
@@ -1063,23 +981,16 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
             proc.timer <- Sim.Engine.never;
             (* Stale timers (state changed meanwhile) are discarded; only
                deliver when still in the armed state. *)
-            if Efsm.Host.state proc.exec = proc.armed_state then begin
-              Sim.Mailbox.Flat.push proc.queue t.timeout_id (-1)
+            if Efsm.Host.state_id proc.exec = proc.armed_state then begin
+              Sim.Mailbox.Flat.push proc.queue (-1) (-1)
                 (Sim.Engine.now_ns t.engine)
-                [];
+                no_args;
               pump t proc
             end);
         proc.eff_cont <-
           (fun () ->
             record_exec_i t proc proc.eff_cycles;
-            run_effects t proc proc.eff_rest proc.eff_k);
-        (match proc.exec with
-        | Efsm.Host.Vm vm ->
-          proc.eff_cont_b <-
-            (fun () ->
-              record_exec_i t proc proc.eff_cycles;
-              run_effects_c t proc vm proc.eff_idx proc.eff_k)
-        | Efsm.Host.Interp _ -> ());
+            run_effects t proc proc.eff_idx);
         proc.finish_fn <-
           (fun () ->
             proc.busy <- false;
@@ -1091,17 +1002,16 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
 let start t =
   Hashtbl.iter
     (fun _ proc ->
-      let effects =
-        Efsm.Host.initial_entry proc.exec @ Efsm.Host.run_completions proc.exec
-      in
-      if effects <> [] then begin
-        proc.busy <- true;
-        run_effects t proc effects (fun () ->
-            proc.busy <- false;
-            arm_timer t proc;
-            pump t proc)
-      end
-      else arm_timer t proc)
+      (* Initial entry, then the completions it enables, as one chain. *)
+      let h = proc.exec in
+      Efsm.Host.initial_entry h;
+      proc.busy <- true;
+      proc.eff_k <-
+        (fun () ->
+          Efsm.Host.run_completions h;
+          proc.eff_k <- proc.finish_fn;
+          run_effects t proc 0);
+      run_effects t proc 0)
     t.procs;
   match t.faults with
   | Some f ->
@@ -1112,11 +1022,29 @@ let start t =
 let run t ~until_ns = Sim.Engine.run ~until:until_ns t.engine
 
 let inject t ~dst ~signal ~args =
-  match Hashtbl.find_opt t.procs dst with
-  | None -> t.errors <- Printf.sprintf "inject: unknown process %s" dst :: t.errors
-  | Some proc ->
+  match (Hashtbl.find_opt t.procs dst, Hashtbl.find_opt t.input_ids signal) with
+  | None, _ -> t.errors <- Printf.sprintf "inject: unknown process %s" dst :: t.errors
+  | Some _, None ->
+    t.errors <- Printf.sprintf "inject: unknown signal %s" signal :: t.errors
+  | Some proc, Some input ->
     let now = Sim.Engine.now_ns t.engine in
-    let sig_id = Sim.Trace.intern t.trace signal in
+    let sig_id = t.input_tid.(input) in
+    (* Named arguments go to their parameter's position, once; a
+       parameter left out is an absent argument. *)
+    let params = snd t.inputs.(input) in
+    let argc = Array.length params in
+    let payload = Array.make (2 * argc) 0 in
+    Array.iteri
+      (fun k name ->
+        match List.assoc_opt name args with
+        | None -> ()
+        | Some (Efsm.Action.V_int n) ->
+          payload.(k) <- 1;
+          payload.(argc + k) <- n
+        | Some (Efsm.Action.V_bool b) ->
+          payload.(k) <- 2;
+          payload.(argc + k) <- Bool.to_int b)
+      params;
     let flow =
       if not t.flows_on then -1
       else begin
@@ -1128,7 +1056,7 @@ let inject t ~dst ~signal ~args =
         id
       end
     in
-    Sim.Mailbox.Flat.push proc.queue sig_id flow now args;
+    Sim.Mailbox.Flat.push proc.queue input flow now payload;
     pump t proc
 
 let queue_latencies t =

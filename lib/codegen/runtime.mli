@@ -74,7 +74,10 @@ val run : t -> until_ns:int64 -> int
 
 val inject :
   t -> dst:string -> signal:string -> args:(string * Efsm.Action.value) list -> unit
-(** Deliver an external signal to a process (test stimulus). *)
+(** Deliver an external signal to a process (test stimulus).  Each named
+    argument goes to its position among the signal's parameters; a name
+    the signal does not have is dropped.  A signal no machine of the
+    system consumes or sends is a runtime error. *)
 
 val process_state : t -> string -> string option
 val process_var : t -> string -> string -> Efsm.Action.value option

@@ -531,7 +531,7 @@ let create prog =
   }
 
 let of_machine machine = create (compile machine)
-let machine t = t.prog.machine
+let machine prog = prog.machine
 let program t = t.prog
 let state t = t.prog.state_names.(t.state)
 
@@ -557,13 +557,6 @@ let read_var t name =
 let clear_effects t =
   t.fx_len <- 0;
   t.arg_len <- 0
-
-let reset t =
-  t.state <- t.prog.initial_state;
-  Array.blit t.prog.var_init_v 0 t.var_v 0 (Array.length t.var_v);
-  Bytes.blit t.prog.var_init_t 0 t.var_t 0 (Bytes.length t.var_t);
-  t.gen <- t.gen + 1;
-  clear_effects t
 
 (* ---- the VM ---------------------------------------------------------- *)
 
@@ -978,26 +971,15 @@ let dispatch t ~signal ~args =
     let cands = t.prog.on_signal.(t.state).(sid) in
     step_of t cands (fire_first t cands)
 
-let signal_id t signal =
-  match Hashtbl.find t.prog.signal_ids signal with
-  | sid -> sid
-  | exception Not_found -> -1
-
-let dispatch_id t ~sid ~args =
-  if sid < 0 then false
-  else begin
-    bind_params t args;
-    fire_first t t.prog.on_signal.(t.state).(sid) >= 0
-  end
-
 (* Positional binding from int slices, first occurrence winning like
    {!bind_args}: signal parameter [k] is slot [pids.(k)] (-1 when the
-   machine never reads it), with its tag code and value at [off + k]. *)
+   machine never reads it), with its tag code and value at [off + k];
+   tag code 0 is an absent argument and binds nothing. *)
 let bind_raw t pids argt argv off argc =
   clear_params t;
   for k = 0 to min argc (Array.length pids) - 1 do
     let i = pids.(k) in
-    if i >= 0 && t.par_gen.(i) <> t.gen then begin
+    if i >= 0 && argt.(off + k) <> 0 && t.par_gen.(i) <> t.gen then begin
       t.par_v.(i) <- argv.(off + k);
       Bytes.set t.par_t i (Char.chr argt.(off + k));
       t.par_gen.(i) <- t.gen
@@ -1010,13 +992,6 @@ let dispatch_raw t ~sid ~pids ~argt ~argv ~off ~argc =
     bind_raw t pids argt argv off argc;
     let cands = t.prog.on_signal.(t.state).(sid) in
     fired_index cands (fire_first t cands)
-  end
-
-let fire_timer_id t ~entered_state =
-  if t.prog.state_names.(t.state) <> entered_state then false
-  else begin
-    clear_params t;
-    fire_first t t.prog.afters.(t.state) >= 0
   end
 
 let fire_timer_raw t =
@@ -1059,7 +1034,6 @@ let n_states prog = Array.length prog.state_names
 let n_vars prog = Array.length prog.var_names
 let state_name_of_id prog i = prog.state_names.(i)
 let var_name_of_id prog i = prog.var_names.(i)
-let var_id_of_name prog name = Hashtbl.find_opt prog.var_ids name
 
 let state_id_of_name prog name =
   let n = Array.length prog.state_names in

@@ -33,7 +33,7 @@ val create : program -> t
 val of_machine : Machine.t -> t
 (** [create (compile m)] — convenience for single-instance use. *)
 
-val machine : t -> Machine.t
+val machine : program -> Machine.t
 val program : t -> program
 val state : t -> string
 val variables : t -> (string * Action.value) list
@@ -63,32 +63,18 @@ val timer_request : t -> int option
 
     The [Interp.step]-returning entry points above materialise the
     fired transition and the effect list per event — fine for tests
-    and replay, measurable on the simulation hot path.  The [_id]/[_raw]
-    variants below return a boolean ([_id]) or the fired transition's
-    declaration index ([_raw]) and leave the effects in the instance's
-    buffer.  Effect [i] is read there without allocating through
-    {!effect_site}, {!effect_argc}, {!effect_arg} and {!effect_arg_tag};
-    {!effect_at} boxes it.  Every reader is valid below {!effect_count}
-    (raising [Invalid_argument] otherwise) and only until the next
-    dispatch, {!initial_entry}, {!run_completions} or {!reset} on this
-    instance, all of which refill the same buffer. *)
-
-val signal_id : t -> string -> int
-(** Dispatch-table id of [signal] in this machine, [-1] if the machine
-    never listens for it.  Resolve once and reuse with {!dispatch_id} —
-    this is the only string lookup on the id path. *)
-
-val dispatch_id : t -> sid:int -> args:(string * Action.value) list -> bool
-(** Same transition semantics as {!dispatch}, keyed by a {!signal_id}
-    result ([sid = -1] discards).  Returns whether a transition fired;
-    on [true] the effects are in the buffer until the next dispatch. *)
-
-val fire_timer_id : t -> entered_state:string -> bool
-(** Same transition semantics as {!fire_timer}, buffer-backed like
-    {!dispatch_id}. *)
+    and replay, measurable on the simulation hot path.  The [_raw]
+    variants below return the fired transition's declaration index and
+    leave the effects in the instance's buffer.  Effect [i] is read
+    there without allocating through {!effect_site}, {!effect_argc},
+    {!effect_arg} and {!effect_arg_tag}; {!effect_at} boxes it.  Every
+    reader is valid below {!effect_count} (raising [Invalid_argument]
+    otherwise) and only until the next dispatch, {!initial_entry} or
+    {!run_completions} on this instance, all of which refill the same
+    buffer.  {!Host} puts the same cursor in front of both engines. *)
 
 val effect_count : t -> int
-(** Number of effects produced by the last fired [_id] dispatch. *)
+(** Number of effects produced by the last step that fired. *)
 
 val effect_at : t -> int -> Action.effect
 (** The [i]th effect, in execution order, as the [Interp.step] API
@@ -119,21 +105,19 @@ val dispatch_raw :
   off:int ->
   argc:int ->
   int
-(** {!dispatch_id} with positional parameters read from int slices:
+(** {!dispatch} by dispatch-table id ({!signal_id_of_name}; [sid = -1]
+    discards) with positional parameters read from int slices:
     argument [k < min argc (Array.length pids)] binds parameter slot
     [pids.(k)] ({!param_id_of_name}, [-1] = never read) to tag code
-    [argt.(off + k)] (see {!var_tag}) and value [argv.(off + k)].  The
-    first binding of a slot wins, as with named arguments.  Returns the
-    declaration index (in [Machine.transitions]) of the fired
-    transition, [-1] when none fired; completion transitions chained
-    behind it do not count. *)
+    [argt.(off + k)] (see {!var_tag}; 0 = absent, binds nothing) and
+    value [argv.(off + k)].  The first binding of a slot wins, as with
+    named arguments.  Returns the declaration index (in
+    [Machine.transitions]) of the fired transition, [-1] when none
+    fired; completion transitions chained behind it do not count. *)
 
 val fire_timer_raw : t -> int
-(** {!fire_timer_id} for the current state, returning the fired
+(** {!fire_timer} for the current state, returning the fired
     transition's declaration index like {!dispatch_raw}. *)
-
-val reset : t -> unit
-(** Back to the initial state and initial variable values. *)
 
 (** {2 Introspection and direct state access}
 
@@ -146,7 +130,6 @@ val n_states : program -> int
 val n_vars : program -> int
 val state_name_of_id : program -> int -> string
 val var_name_of_id : program -> int -> string
-val var_id_of_name : program -> string -> int option
 val state_id_of_name : program -> string -> int option
 
 val signal_id_of_name : program -> string -> int option

@@ -16,7 +16,6 @@ let create machine =
     env = Action.env_of_bindings machine.Machine.variables;
   }
 
-let machine t = t.machine
 let state t = t.state
 let variables t = Action.env_bindings t.env
 let read_var t name = Action.lookup t.env name

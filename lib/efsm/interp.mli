@@ -17,7 +17,6 @@ type step = {
 val create : Machine.t -> t
 (** Fresh instance in the initial state with initial variable values. *)
 
-val machine : t -> Machine.t
 val state : t -> string
 val variables : t -> (string * Action.value) list
 val read_var : t -> string -> Action.value option

@@ -34,7 +34,8 @@ type summary = {
       (** per instance: (path, control state, queue length) *)
 }
 
-type qmsg = { q_gsig : int; q_args : Efsm.Action.value array }
+(* A queued message: its signal and positional raw arguments. *)
+type qmsg = { q_gsig : int; q_tags : int array; q_vals : int array }
 
 exception Replay_error of string
 
@@ -46,82 +47,90 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
   let trace = Sim.Trace.create () in
   let execs =
     Array.map
-      (fun (inst : Net.inst) ->
-        Efsm.Host.create engine
-          ~program:(fun _ -> inst.Net.prog)
-          inst.Net.machine)
+      (fun (inst : Net.inst) -> Efsm.Host.create engine inst.Net.table)
       net.Net.insts
   in
   let queues = Array.make (Net.n_insts net) ([] : qmsg list) in
   let overflowed = ref None in
   let record e = Sim.Trace.record trace e in
-  let enqueue ~time ~sender dest gsig args =
-    let path = net.Net.insts.(dest).Net.path in
+  let record_signal ~time ~sender ~receiver gsig =
     record
       (Sim.Trace.Signal
          {
            time;
            sender;
-           receiver = path;
+           receiver;
            signal = Net.sig_name net gsig;
            words = Net.sig_words net gsig;
            tag = -1;
-         });
+         })
+  in
+  let enqueue ~time ~sender dest m =
+    let path = net.Net.insts.(dest).Net.path in
+    let signal = Net.sig_name net m.q_gsig in
+    record_signal ~time ~sender ~receiver:path m.q_gsig;
     if List.length queues.(dest) >= capacity then begin
       record
-        (Sim.Trace.Fault
-           {
-             time;
-             kind = "mc_overflow";
-             target = path;
-             info = Net.sig_name net gsig;
-           });
-      overflowed := Some (path, Net.sig_name net gsig)
+        (Sim.Trace.Fault { time; kind = "mc_overflow"; target = path; info = signal });
+      overflowed := Some (path, signal)
     end
-    else queues.(dest) <- queues.(dest) @ [ { q_gsig = gsig; q_args = args } ]
+    else queues.(dest) <- queues.(dest) @ [ m ]
   in
-  let route_effects ~time (inst : Net.inst) effects =
-    List.iter
-      (fun effect ->
-        if !overflowed = None then
-          match effect with
-          | Efsm.Action.Eff_compute cycles ->
-            record
-              (Sim.Trace.Exec
-                 {
-                   time;
-                   process = inst.Net.path;
-                   cycles = Int64.of_int cycles;
-                 })
-          | Efsm.Action.Eff_send { port; signal; args } -> (
-            match Net.find_route inst ~port ~signal with
-            | None -> ()
-            | Some r ->
-              if Array.length r.Net.rt_dests = 0 then begin
-                if r.Net.rt_env then
-                  record
-                    (Sim.Trace.Signal
-                       {
-                         time;
-                         sender = inst.Net.path;
-                         receiver = "env";
-                         signal;
-                         words = Net.sig_words net r.Net.rt_gsig;
-                         tag = -1;
-                       })
-              end
-              else
-                let args = Array.of_list args in
-                Array.iter
-                  (fun dest ->
-                    if !overflowed = None then
-                      enqueue ~time ~sender:inst.Net.path dest r.Net.rt_gsig
-                        args)
-                  r.Net.rt_dests))
-      effects
+  (* Route the effects the host's cursor holds, by site. *)
+  let route_effects ~time (inst : Net.inst) =
+    let e = execs.(inst.Net.ix) in
+    for k = 0 to Efsm.Host.effect_count e - 1 do
+      if !overflowed = None then
+        let site = Efsm.Host.effect_site e k in
+        if site < 0 then
+          record
+            (Sim.Trace.Exec
+               {
+                 time;
+                 process = inst.Net.path;
+                 cycles = Int64.of_int (Efsm.Host.effect_arg e k 0);
+               })
+        else
+          let r = inst.Net.routes.(site) in
+          if Array.length r.Net.rt_dests = 0 then begin
+            if r.Net.rt_env then
+              record_signal ~time ~sender:inst.Net.path ~receiver:"env" r.Net.rt_gsig
+          end
+          else begin
+            let argc = Efsm.Host.effect_argc e k in
+            let m =
+              {
+                q_gsig = r.Net.rt_gsig;
+                q_tags = Array.init argc (Efsm.Host.effect_arg_tag e k);
+                q_vals = Array.init argc (Efsm.Host.effect_arg e k);
+              }
+            in
+            Array.iter
+              (fun dest ->
+                if !overflowed = None then enqueue ~time ~sender:inst.Net.path dest m)
+              r.Net.rt_dests
+          end
+    done
   in
   let marker ~time kind target info =
     record (Sim.Trace.Fault { time; kind; target; info })
+  in
+  (* A fired step changes state (self-transitions included); a discard
+     is logged against the signal, or "timer". *)
+  let outcome ~time (inst : Net.inst) ~before ~signal fired =
+    if fired < 0 then
+      record (Sim.Trace.Discard { time; process = inst.Net.path; signal })
+    else begin
+      route_effects ~time inst;
+      record
+        (Sim.Trace.State_change
+           {
+             time;
+             process = inst.Net.path;
+             from_ = before;
+             to_ = Efsm.Host.state execs.(inst.Net.ix);
+           })
+    end
   in
   (* initial state *)
   marker ~time:0L "mc_init" "network" (Printf.sprintf "cap=%d" capacity);
@@ -129,9 +138,12 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
     (fun (inst : Net.inst) ->
       if !overflowed = None then begin
         let e = execs.(inst.Net.ix) in
-        route_effects ~time:0L inst (Efsm.Host.initial_entry e);
-        if !overflowed = None then
-          route_effects ~time:0L inst (Efsm.Host.run_completions e)
+        Efsm.Host.initial_entry e;
+        route_effects ~time:0L inst;
+        if !overflowed = None then begin
+          Efsm.Host.run_completions e;
+          route_effects ~time:0L inst
+        end
       end)
     net.Net.insts;
   (* the schedule *)
@@ -141,11 +153,12 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
     (match step with
     | Explore.S_inject e ->
       let input = net.Net.env_inputs.(e) in
+      let g = input.Net.ei_gsig in
       let inst = net.Net.insts.(input.Net.ei_target) in
-      marker ~time "mc_inject" inst.Net.path
-        (Net.sig_name net input.Net.ei_gsig);
-      enqueue ~time ~sender:"env" input.Net.ei_target input.Net.ei_gsig
-        (Net.canonical_args net input.Net.ei_gsig)
+      marker ~time "mc_inject" inst.Net.path (Net.sig_name net g);
+      let tags = Net.canon_tags net g in
+      enqueue ~time ~sender:"env" input.Net.ei_target
+        { q_gsig = g; q_tags = tags; q_vals = Array.make (Array.length tags) 0 }
     | Explore.S_deliver ix -> (
       let inst = net.Net.insts.(ix) in
       match queues.(ix) with
@@ -156,22 +169,9 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
         marker ~time "mc_deliver" inst.Net.path signal;
         let e = execs.(ix) in
         let before = Efsm.Host.state e in
-        let step =
-          Efsm.Host.dispatch e ~signal
-            ~args:(Net.bind_args net m.q_gsig m.q_args)
-        in
-        route_effects ~time inst step.Efsm.Interp.effects;
-        if step.Efsm.Interp.fired = None then
-          record (Sim.Trace.Discard { time; process = inst.Net.path; signal })
-        else
-          record
-            (Sim.Trace.State_change
-               {
-                 time;
-                 process = inst.Net.path;
-                 from_ = before;
-                 to_ = Efsm.Host.state e;
-               }))
+        outcome ~time inst ~before ~signal
+          (Efsm.Host.dispatch e ~input:m.q_gsig ~argt:m.q_tags ~argv:m.q_vals
+             ~off:0 ~argc:(Array.length m.q_tags)))
     | Explore.S_timer ix ->
       let inst = net.Net.insts.(ix) in
       let e = execs.(ix) in
@@ -182,20 +182,7 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
       in
       marker ~time "mc_timer" inst.Net.path (string_of_int delay);
       let before = Efsm.Host.state e in
-      let step = Efsm.Host.fire_timer e ~entered_state:before in
-      route_effects ~time inst step.Efsm.Interp.effects;
-      if step.Efsm.Interp.fired = None then
-        record
-          (Sim.Trace.Discard { time; process = inst.Net.path; signal = "timer" })
-      else
-        record
-          (Sim.Trace.State_change
-             {
-               time;
-               process = inst.Net.path;
-               from_ = before;
-               to_ = Efsm.Host.state e;
-             }));
+      outcome ~time inst ~before ~signal:"timer" (Efsm.Host.fire_timer e));
     incr steps_run
   in
   (try
@@ -210,14 +197,7 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
     | None ->
       let members =
         Net.blocked_set net
-          ~state_of:(fun ix ->
-            let inst = net.Net.insts.(ix) in
-            match
-              Efsm.Compiled.state_id_of_name inst.Net.prog
-                (Efsm.Host.state execs.(ix))
-            with
-            | Some s -> s
-            | None -> fail "unknown state at %s" inst.Net.path)
+          ~state_of:(fun ix -> Efsm.Host.state_id execs.(ix))
           ~queue_empty:(fun ix -> queues.(ix) = [])
       in
       if members = [] then V_none

@@ -4,16 +4,13 @@
    signal sent through a port, what the environment injects/absorbs);
    this module freezes those answers into integer-indexed tables the
    explorer can consult without allocation: one compiled program per
-   class, per instance a route per send site and the dispatch id and
-   parameter slots of every global signal, globally interned signal
-   names, and the per-(state, signal) "silent step" and wait-state
-   summaries that partial-order reduction and deadlock detection are
-   built on. *)
+   class with its {!Efsm.Host.table} (every global signal an input),
+   per instance a route per send site, globally interned signal names,
+   and the per-(state, signal) "silent step" and wait-state summaries
+   that partial-order reduction and deadlock detection are built on. *)
 
 type route = {
-  rt_port : string;
-  rt_signal : string;
-  rt_gsig : int;  (** global signal id of [rt_signal] *)
+  rt_gsig : int;  (** global id of the site's signal *)
   rt_dests : int array;  (** receiving machine instances, sorted by path *)
   rt_env : bool;  (** a root boundary port absorbs the signal *)
 }
@@ -42,15 +39,8 @@ type inst = {
   class_name : string;
   machine : Efsm.Machine.t;
   prog : Efsm.Compiled.program;
-  routes : (string, route) Hashtbl.t;  (** key: [port ^ "\000" ^ signal] *)
-  site_routes : route option array;
-      (** per send site of [prog] ({!Efsm.Compiled.effect_site}) *)
-  sig_sids : int array;
-      (** per global signal: its {!Efsm.Compiled.signal_id} in [prog],
-          -1 when this machine never consumes it *)
-  sig_pids : int array array;
-      (** per global signal: the parameter slot in [prog] of each
-          positional parameter, -1 when no guard or action reads it *)
+  table : Efsm.Host.table;  (** input id = global signal id *)
+  routes : route array;  (** per site of [table] *)
   waits : wait option array;  (** per state id *)
   silent_on : bool array array;  (** [state].(gsig): delivery is silent *)
   silent_after : bool array;  (** [state]: the armed timer step is silent *)
@@ -76,7 +66,8 @@ type t = {
   ix_of_path : (string, int) Hashtbl.t;
 }
 
-let route_key port signal = port ^ "\000" ^ signal
+let find_route inst ~port ~signal =
+  Option.map (Array.get inst.routes) (Efsm.Host.site inst.table ~port ~signal)
 
 let words_of_signal (s : Uml.Signal.t) =
   max 1 (((s.Uml.Signal.payload_bytes + 3) / 4) + List.length s.Uml.Signal.params)
@@ -115,21 +106,20 @@ let machine_send_sites (m : Efsm.Machine.t) =
 
 (* ---- construction ----------------------------------------------------- *)
 
+(* [sigs] holds the interned signals newest first. *)
 let intern_signal sigs sig_ids (s : Uml.Signal.t) =
   match Hashtbl.find_opt sig_ids s.Uml.Signal.name with
   | Some id -> id
   | None ->
-    let id = List.length !sigs in
+    let id = Hashtbl.length sig_ids in
     Hashtbl.add sig_ids s.Uml.Signal.name id;
     sigs :=
-      !sigs
-      @ [
-          {
-            sg_name = s.Uml.Signal.name;
-            sg_params = Array.of_list s.Uml.Signal.params;
-            sg_words = words_of_signal s;
-          };
-        ];
+      {
+        sg_name = s.Uml.Signal.name;
+        sg_params = Array.of_list s.Uml.Signal.params;
+        sg_words = words_of_signal s;
+      }
+      :: !sigs;
     id
 
 let build model =
@@ -159,12 +149,15 @@ let build model =
     (fun ix (i : Lint.Network.instance) ->
       Hashtbl.add ix_of_path i.Lint.Network.path ix)
     machine_instances;
+  let sigs = Array.of_list (List.rev !sigs) in
+  let inputs = Array.map (fun s -> (s.sg_name, Array.map fst s.sg_params)) sigs in
   let progs = Hashtbl.create 8 in
   let prog_of class_name machine =
     match Hashtbl.find_opt progs class_name with
     | Some p -> p
     | None ->
-      let p = Efsm.Compiled.compile machine in
+      let prog = Efsm.Compiled.compile machine in
+      let p = (prog, Efsm.Host.table prog ~inputs) in
       Hashtbl.add progs class_name p;
       p
   in
@@ -174,47 +167,25 @@ let build model =
          (fun ix (i : Lint.Network.instance) ->
            let machine = Option.get i.Lint.Network.machine in
            let path = i.Lint.Network.path in
-           let prog = prog_of i.Lint.Network.class_name machine in
-           (* routes: one per distinct (port, signal) send site *)
-           let routes = Hashtbl.create 8 in
-           List.iter
-             (fun (port, signal) ->
-               let key = route_key port signal in
-               if not (Hashtbl.mem routes key) then begin
-                 let dests =
-                   Lint.Network.receivers network ~sender:path ~port ~signal
-                   |> List.filter_map (fun p -> Hashtbl.find_opt ix_of_path p)
-                   |> Array.of_list
-                 in
-                 let env =
-                   Lint.Network.env_absorbs network ~sender:path ~port ~signal
-                 in
-                 Hashtbl.add routes key
-                   {
-                     rt_port = port;
-                     rt_signal = signal;
-                     rt_gsig = intern_name signal;
-                     rt_dests = dests;
-                     rt_env = env;
-                   }
-               end)
-             (Efsm.Machine.signals_sent machine);
+           let prog, table = prog_of i.Lint.Network.class_name machine in
+           let route (port, signal) =
+             {
+               rt_gsig = intern_name signal;
+               rt_dests =
+                 Lint.Network.receivers network ~sender:path ~port ~signal
+                 |> List.filter_map (fun p -> Hashtbl.find_opt ix_of_path p)
+                 |> Array.of_list;
+               rt_env = Lint.Network.env_absorbs network ~sender:path ~port ~signal;
+             }
+           in
            {
              ix;
              path;
              class_name = i.Lint.Network.class_name;
              machine;
              prog;
-             routes;
-             site_routes =
-               Array.map
-                 (fun (site : Efsm.Compiled.send_site) ->
-                   Hashtbl.find_opt routes
-                     (route_key site.Efsm.Compiled.s_port
-                        site.Efsm.Compiled.s_signal))
-                 (Efsm.Compiled.send_sites prog);
-             sig_sids = [||] (* filled below, once every signal is interned *);
-             sig_pids = [||];
+             table;
+             routes = Array.map route (Efsm.Host.sites table);
              waits = [||] (* filled below, needs every instance's routes *);
              silent_on = [||];
              silent_after = [||];
@@ -232,7 +203,7 @@ let build model =
   let stmts_machine_send_free inst stmts =
     List.for_all
       (fun (port, signal, _) ->
-        match Hashtbl.find_opt inst.routes (route_key port signal) with
+        match find_route inst ~port ~signal with
         | None -> true
         | Some r -> Array.length r.rt_dests = 0)
       (sends_of_stmts [] stmts)
@@ -360,27 +331,7 @@ let build model =
       m.Efsm.Machine.states;
     { inst with waits }
   in
-  (* -- id tables for dispatching a global signal --------------------- *)
-  let sigs = Array.of_list !sigs in
-  let fill_ids inst =
-    let or_none = Option.value ~default:(-1) in
-    {
-      inst with
-      sig_sids =
-        Array.map
-          (fun s -> or_none (Efsm.Compiled.signal_id_of_name inst.prog s.sg_name))
-          sigs;
-      sig_pids =
-        Array.map
-          (fun s ->
-            Array.map
-              (fun (name, _) ->
-                or_none (Efsm.Compiled.param_id_of_name inst.prog name))
-              s.sg_params)
-          sigs;
-    }
-  in
-  let insts = Array.map (fun i -> fill_ids (fill_waits (fill_silent i))) insts in
+  let insts = Array.map (fun i -> fill_waits (fill_silent i)) insts in
   (* -- environment inputs -------------------------------------------- *)
   let env_inputs =
     Array.to_list insts
@@ -411,23 +362,12 @@ let n_insts t = Array.length t.insts
 let sig_name t g = t.sigs.(g).sg_name
 let sig_words t g = t.sigs.(g).sg_words
 
-let canonical_args t g =
+(* Argument tag codes of the canonical zero payload of signal [g]. *)
+let canon_tags t g =
   Array.map
-    (fun (_, ty) ->
-      match ty with
-      | Uml.Signal.P_int -> Efsm.Action.V_int 0
-      | Uml.Signal.P_bool -> Efsm.Action.V_bool false)
+    (fun (_, ty) -> match ty with Uml.Signal.P_int -> 1 | Uml.Signal.P_bool -> 2)
     t.sigs.(g).sg_params
 
-(* Positional values -> named bindings for {!Efsm.Compiled.dispatch},
-   pairing like the code generator's runtime does. *)
-let bind_args t g (values : Efsm.Action.value array) =
-  let params = t.sigs.(g).sg_params in
-  let n = min (Array.length params) (Array.length values) in
-  List.init n (fun i -> (fst params.(i), values.(i)))
-
-let find_route inst ~port ~signal =
-  Hashtbl.find_opt inst.routes (route_key port signal)
 
 (* ---- deadlock: blocked-set greatest fixpoint ------------------------- *)
 

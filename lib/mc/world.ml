@@ -113,14 +113,7 @@ let create ?coi (net : Net.t) ~capacity ~timer_budget ~env_budget =
     env_left = Array.make (Array.length net.Net.env_inputs) env_budget;
     capacity;
     width;
-    canon_tags =
-      Array.map
-        (fun (s : Net.sig_info) ->
-          Array.map
-            (fun (_, ty) ->
-              match ty with Uml.Signal.P_int -> 1 | Uml.Signal.P_bool -> 2)
-            s.Net.sg_params)
-        net.Net.sigs;
+    canon_tags = Array.init (Array.length net.Net.sigs) (Net.canon_tags net);
     var_keep;
     arg_keep;
     fixed_len;
@@ -145,26 +138,25 @@ let push_slot w dest gsig =
    site, enqueueing a copy per receiving instance. *)
 let route w ix =
   let ex = w.execs.(ix) in
-  let routes = w.net.Net.insts.(ix).Net.site_routes in
+  let inst = w.net.Net.insts.(ix) in
   for k = 0 to Efsm.Compiled.effect_count ex - 1 do
     let site = Efsm.Compiled.effect_site ex k in
-    if site >= 0 then
-      match routes.(site) with
-      | Some r ->
-        let argc = Efsm.Compiled.effect_argc ex k in
-        let dests = r.Net.rt_dests in
-        for d = 0 to Array.length dests - 1 do
-          let dest = dests.(d) in
-          let slot = push_slot w dest r.Net.rt_gsig in
-          let ring = w.rings.(dest) in
-          let base = slot * w.width in
-          for a = 0 to argc - 1 do
-            ring.tags.(base + a) <- Efsm.Compiled.effect_arg_tag ex k a;
-            ring.vals.(base + a) <- Efsm.Compiled.effect_arg ex k a
-          done;
-          ring.argcs.(slot) <- argc
-        done
-      | None -> ()
+    if site >= 0 then begin
+      let r = inst.Net.routes.(Efsm.Host.site_of_vm_site inst.Net.table site) in
+      let argc = Efsm.Compiled.effect_argc ex k in
+      let dests = r.Net.rt_dests in
+      for d = 0 to Array.length dests - 1 do
+        let dest = dests.(d) in
+        let slot = push_slot w dest r.Net.rt_gsig in
+        let ring = w.rings.(dest) in
+        let base = slot * w.width in
+        for a = 0 to argc - 1 do
+          ring.tags.(base + a) <- Efsm.Compiled.effect_arg_tag ex k a;
+          ring.vals.(base + a) <- Efsm.Compiled.effect_arg ex k a
+        done;
+        ring.argcs.(slot) <- argc
+      done
+    end
   done
 
 let init w =
@@ -201,9 +193,10 @@ let apply w code =
     let inst = w.net.Net.insts.(ix) in
     let ex = w.execs.(ix) in
     let fired =
-      Efsm.Compiled.dispatch_raw ex ~sid:inst.Net.sig_sids.(g)
-        ~pids:inst.Net.sig_pids.(g) ~argt:r.tags ~argv:r.vals
-        ~off:(slot * w.width) ~argc:r.argcs.(slot)
+      Efsm.Compiled.dispatch_raw ex
+        ~sid:(Efsm.Host.input_sid inst.Net.table g)
+        ~pids:(Efsm.Host.input_pids inst.Net.table g)
+        ~argt:r.tags ~argv:r.vals ~off:(slot * w.width) ~argc:r.argcs.(slot)
     in
     if fired >= 0 then route w ix;
     fired

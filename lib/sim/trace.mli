@@ -83,9 +83,6 @@ val intern : t -> string -> int
     stable for the lifetime of the trace ({!clear} keeps the table) and
     valid on either backend. *)
 
-val interned : t -> int -> string
-(** The string behind an id handed out by {!intern}. *)
-
 (** Unboxed hot-path appenders: [time]/[cycles]/[dur] are plain int
     nanoseconds (no [int64] boxing), string arguments are ids from
     {!intern}.  Equivalent to {!record} of the corresponding event. *)

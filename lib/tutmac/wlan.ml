@@ -274,58 +274,6 @@ let kind_of_signal signal =
   else if String.equal signal sig_deliver then Deliver
   else Ignored
 
-(* Per-program dispatch tables of the compiled engine. *)
-type tables = {
-  sids : int array;  (** [gsig] -> signal id, -1 = discarded *)
-  pids : int array array;  (** [gsig] -> parameter slot per position *)
-  site_kind : effect_kind array;  (** send site -> handler *)
-  state_tid : int array;  (** state id -> interned trace id *)
-}
-
-let tables_of prog trace =
-  let or_none = Option.value ~default:(-1) in
-  {
-    sids =
-      Array.map
-        (fun (name, _) -> or_none (Efsm.Compiled.signal_id_of_name prog name))
-        inputs;
-    pids =
-      Array.map
-        (fun (_, params) ->
-          Array.map
-            (fun p -> or_none (Efsm.Compiled.param_id_of_name prog p))
-            params)
-        inputs;
-    site_kind =
-      Array.map
-        (fun (site : Efsm.Compiled.send_site) ->
-          kind_of_signal site.Efsm.Compiled.s_signal)
-        (Efsm.Compiled.send_sites prog);
-    state_tid =
-      Array.init (Efsm.Compiled.n_states prog) (fun i ->
-          Sim.Trace.intern trace (Efsm.Compiled.state_name_of_id prog i));
-  }
-
-(* The reference engine never reads the tables. *)
-let no_tables = { sids = [||]; pids = [||]; site_kind = [||]; state_tid = [||] }
-
-(* Named arguments of input [gsig] for the reference interpreter. *)
-let named_args gsig a0 a1 a2 =
-  List.mapi
-    (fun k name ->
-      (name, Efsm.Action.V_int (match k with 0 -> a0 | 1 -> a1 | _ -> a2)))
-    (Array.to_list (snd inputs.(gsig)))
-
-(* Argument [k] of a boxed effect, raw like [Efsm.Compiled.effect_arg]. *)
-let rec raw_arg k = function
-  | [] -> 0
-  | value :: rest ->
-    if k > 0 then raw_arg (k - 1) rest
-    else (
-      match value with
-      | Efsm.Action.V_int x -> x
-      | Efsm.Action.V_bool b -> if b then 1 else 0)
-
 let read_int e name =
   match Efsm.Host.read_var e name with Some (Efsm.Action.V_int n) -> n | _ -> 0
 
@@ -531,13 +479,16 @@ let run ?(obs = Obs.Scope.null ()) config =
     mac_machine ~max_retries:config.max_retries ~cw_min:config.cw_min
       ~cw_max:config.cw_max
   in
-  (* One compiled program and its tables serve the whole fleet. *)
-  let program = lazy (Efsm.Compiled.compile machine) in
-  let program_of _ = Lazy.force program in
-  let tb =
-    match config.engine with
-    | Codegen.Runtime.Compiled -> tables_of (Lazy.force program) trace
-    | Codegen.Runtime.Reference -> no_tables
+  (* One compiled program and its tables serve the whole fleet: the
+     host's, what to do with each send site, the trace id of each state. *)
+  let prog = Efsm.Compiled.compile machine in
+  let host = Efsm.Host.table prog ~inputs in
+  let site_kind =
+    Array.map (fun (_, signal) -> kind_of_signal signal) (Efsm.Host.sites host)
+  in
+  let state_tid =
+    Array.init (Efsm.Compiled.n_states prog) (fun i ->
+        Sim.Trace.intern trace (Efsm.Compiled.state_name_of_id prog i))
   in
   let terminals =
     Array.init n (fun id ->
@@ -548,7 +499,7 @@ let run ?(obs = Obs.Scope.null ()) config =
           class_name =
             Workload.profile_name (Workload.profile_for ~mix:config.mix id);
           exec =
-            Efsm.Host.create config.engine ~program:program_of machine;
+            Efsm.Host.create config.engine host;
           arrivals = Prng.split ~seed:config.seed ~stream:(2 * id);
           backoff = Prng.split ~seed:config.seed ~stream:((2 * id) + 1);
           alive = true;
@@ -640,55 +591,27 @@ let run ?(obs = Obs.Scope.null ()) config =
       Sim.Trace.record_signal trace ~time:now ~sender ~receiver:t.name_id
         ~signal:sig_id ~words ~tag;
     let base = !fx_top in
-    (match t.exec with
-    | Efsm.Host.Vm vm ->
-      let before = Efsm.Compiled.state_id vm in
-      argv.(0) <- a0;
-      argv.(1) <- a1;
-      argv.(2) <- a2;
-      if
-        Efsm.Compiled.dispatch_raw vm ~sid:tb.sids.(gsig) ~pids:tb.pids.(gsig)
-          ~argt ~argv ~off:0 ~argc:3
-        < 0
-      then
-        Sim.Trace.record_discard trace ~time:now ~process:t.name_id
-          ~signal:sig_id
-      else begin
-        let after = Efsm.Compiled.state_id vm in
-        if after <> before then
-          Sim.Trace.record_state_change trace ~time:now ~process:t.name_id
-            ~from_:tb.state_tid.(before) ~to_:tb.state_tid.(after);
-        for k = 0 to Efsm.Compiled.effect_count vm - 1 do
-          let site = Efsm.Compiled.effect_site vm k in
-          let argc = Efsm.Compiled.effect_argc vm k in
-          push_fx
-            (if site < 0 then Compute else tb.site_kind.(site))
-            (if argc > 0 then Efsm.Compiled.effect_arg vm k 0 else 0)
-            (if argc > 1 then Efsm.Compiled.effect_arg vm k 1 else 0)
-        done
-      end
-    | Efsm.Host.Interp it ->
-      let before = Efsm.Interp.state it in
-      let step =
-        Efsm.Interp.dispatch it ~signal:(fst inputs.(gsig))
-          ~args:(named_args gsig a0 a1 a2)
-      in
-      (match step.Efsm.Interp.fired with
-      | None ->
-        Sim.Trace.record_discard trace ~time:now ~process:t.name_id
-          ~signal:sig_id
-      | Some _ ->
-        let after = Efsm.Interp.state it in
-        if not (String.equal before after) then
-          Sim.Trace.record_state_change trace ~time:now ~process:t.name_id
-            ~from_:(Sim.Trace.intern trace before)
-            ~to_:(Sim.Trace.intern trace after));
-      List.iter
-        (function
-          | Efsm.Action.Eff_compute cycles -> push_fx Compute cycles 0
-          | Efsm.Action.Eff_send { signal; args; _ } ->
-            push_fx (kind_of_signal signal) (raw_arg 0 args) (raw_arg 1 args))
-        step.Efsm.Interp.effects);
+    let h = t.exec in
+    let before = Efsm.Host.state_id h in
+    argv.(0) <- a0;
+    argv.(1) <- a1;
+    argv.(2) <- a2;
+    if Efsm.Host.dispatch h ~input:gsig ~argt ~argv ~off:0 ~argc:3 < 0 then
+      Sim.Trace.record_discard trace ~time:now ~process:t.name_id ~signal:sig_id
+    else begin
+      let after = Efsm.Host.state_id h in
+      if after <> before then
+        Sim.Trace.record_state_change trace ~time:now ~process:t.name_id
+          ~from_:state_tid.(before) ~to_:state_tid.(after);
+      for k = 0 to Efsm.Host.effect_count h - 1 do
+        let site = Efsm.Host.effect_site h k in
+        let argc = Efsm.Host.effect_argc h k in
+        push_fx
+          (if site < 0 then Compute else site_kind.(site))
+          (if argc > 0 then Efsm.Host.effect_arg h k 0 else 0)
+          (if argc > 1 then Efsm.Host.effect_arg h k 1 else 0)
+      done
+    end;
     let top = !fx_top in
     for i = base to top - 1 do
       handle t !fx_kind.(i) !fx_arg.(2 * i) !fx_arg.((2 * i) + 1)
@@ -769,18 +692,16 @@ let run ?(obs = Obs.Scope.null ()) config =
       regs.(!n_regs) <- t.id;
       incr n_regs
     end
+  and sched t verdict =
+    (* the outcome lands one slot after the registration slot *)
+    let epoch = t.epoch in
+    ignore
+      (Sim.Engine.schedule_ns engine ~delay:slot (fun () -> outcome t epoch verdict))
   and resolve () =
     let now = Sim.Engine.now_ns engine in
     let count = !n_regs in
     n_regs := 0;
     chan_slot := -1;
-    let outcome_at = now + slot in
-    let sched t verdict =
-      let epoch = t.epoch in
-      ignore
-        (Sim.Engine.schedule_at_ns engine ~time:outcome_at (fun () ->
-             outcome t epoch verdict))
-    in
     if count = 1 then begin
       let t = terminals.(regs.(0)) in
       incr slots_used;

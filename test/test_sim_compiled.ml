@@ -419,6 +419,9 @@ let prop_effect_sites =
    repeated name so first-binding-wins is exercised. *)
 let positional = [ "seq"; "frag"; "seq" ]
 
+let sid_of prog signal =
+  Option.value ~default:(-1) (Compiled.signal_id_of_name prog signal)
+
 let gen_raw_op =
   QCheck.Gen.(
     frequency
@@ -442,11 +445,67 @@ let gen_raw_op =
         (1, return Op_completions);
       ])
 
+(* Named arguments as positional int slices at a non-zero offset. *)
+let raw_args args =
+  let off = 2 in
+  let argt = Array.make (off + 3) 0 and argv = Array.make (off + 3) 0 in
+  List.iteri
+    (fun k (_, value) ->
+      match value with
+      | Action.V_int n ->
+        argt.(off + k) <- 1;
+        argv.(off + k) <- n
+      | Action.V_bool b ->
+        argt.(off + k) <- 2;
+        argv.(off + k) <- (if b then 1 else 0))
+    args;
+  (argt, argv, off, List.length args)
+
+(* One step of an [Efsm.Host], read back through its cursor: the fired
+   index, the state id and every effect row (site, argc, (tag, value)
+   per argument). *)
+type host_outcome =
+  | H_step of int * int * (int * int * (int * int) list) list
+  | H_skip
+  | H_error of string
+
+let host_rows h =
+  List.init (Host.effect_count h) (fun i ->
+      let argc = Host.effect_argc h i in
+      ( Host.effect_site h i,
+        argc,
+        List.init argc (fun k -> (Host.effect_arg_tag h i k, Host.effect_arg h i k)) ))
+
+let host_step h fired =
+  H_step (fired, Host.state_id h, if fired >= 0 then host_rows h else [])
+
+let raw_signals = [ "go"; "stop"; "tick"; "other" ]
+
+let host_op h op =
+  try
+    match op with
+    | Op_dispatch (signal, args) ->
+      let argt, argv, off, argc = raw_args args in
+      let rec input_of i = function
+        | s :: rest -> if s = signal then i else input_of (i + 1) rest
+        | [] -> assert false
+      in
+      host_step h
+        (Host.dispatch h ~input:(input_of 0 raw_signals) ~argt ~argv ~off ~argc)
+    | Op_timer true -> host_step h (Host.fire_timer h)
+    | Op_timer false -> H_skip
+    | Op_completions ->
+      Host.run_completions h;
+      host_step h 0
+  with Action.Type_error m -> H_error m
+
 (* [dispatch] on named arguments and [dispatch_raw] on the same values
    laid out as int slices (at a non-zero offset) must fire the same
    transition with the same effects and leave the same state; the
    declaration index [dispatch_raw] and [fire_timer_raw] return must be
-   that of the transition the reference interpreter fired. *)
+   that of the transition the reference interpreter fired.  The same ops
+   also step [Efsm.Host] under both engines, which must agree row for
+   row through the cursor. *)
 let raw_lockstep machine ops =
   let reference = Interp.create machine in
   let named = Compiled.of_machine machine in
@@ -471,36 +530,45 @@ let raw_lockstep machine ops =
     catching (fun () ->
         match op with
         | Op_dispatch (signal, args) ->
-          let off = 2 in
-          let argt = Array.make (off + 3) 0 and argv = Array.make (off + 3) 0 in
-          List.iteri
-            (fun k (_, value) ->
-              match value with
-              | Action.V_int n ->
-                argt.(off + k) <- 1;
-                argv.(off + k) <- n
-              | Action.V_bool b ->
-                argt.(off + k) <- 2;
-                argv.(off + k) <- (if b then 1 else 0))
-            args;
+          let argt, argv, off, argc = raw_args args in
           step
-            (Compiled.dispatch_raw raw ~sid:(Compiled.signal_id raw signal) ~pids
-               ~argt ~argv ~off ~argc:(List.length args))
+            (Compiled.dispatch_raw raw ~sid:(sid_of prog signal) ~pids ~argt ~argv
+               ~off ~argc)
         | Op_timer true -> step (Compiled.fire_timer_raw raw)
         | Op_timer false | Op_completions -> compiled_op raw op)
+  in
+  let table =
+    Host.table prog
+      ~inputs:(Array.of_list (List.map (fun s -> (s, Array.of_list positional)) raw_signals))
+  in
+  let host_ref = Host.create Host.Reference table in
+  let host_vm = Host.create Host.Compiled table in
+  let hosts_agree label a b =
+    if a <> b then
+      QCheck.Test.fail_reportf "Host engines diverge on %s\n%s" label
+        (Notation.print_machine machine)
+  in
+  let host_init h =
+    try
+      Host.initial_entry h;
+      host_step h 0
+    with Action.Type_error m -> H_error m
   in
   let init_ref = catching (fun () -> O_effects (Interp.initial_entry reference)) in
   let init_n = catching (fun () -> O_effects (Compiled.initial_entry named)) in
   let init_r = catching (fun () -> O_effects (Compiled.initial_entry raw)) in
+  hosts_agree "initial entry" (host_init host_ref) (host_init host_vm);
   let rec go = function
     | [] -> true
     | op :: rest ->
       let r = interp_op reference op in
       let a = compiled_op named op and b = raw_op op in
+      let ha = host_op host_ref op and hb = host_op host_vm op in
       if a <> b then
         QCheck.Test.fail_reportf "dispatch_raw diverges on %s:\n  named: %s\n  raw:   %s\n%s"
           (print_op op) (pp_outcome a) (pp_outcome b)
           (Notation.print_machine machine);
+      hosts_agree (print_op op) ha hb;
       (match (!index, r) with
       | Some i, O_step (fired, _) ->
         let expected =
@@ -509,7 +577,13 @@ let raw_lockstep machine ops =
         if i <> expected then
           QCheck.Test.fail_reportf "fired index %d, reference fired #%d on %s\n%s" i
             expected (print_op op)
+            (Notation.print_machine machine);
+        (match ha with
+        | H_step (h, _, _) when h <> expected ->
+          QCheck.Test.fail_reportf "Host fired index %d, reference fired #%d on %s\n%s"
+            h expected (print_op op)
             (Notation.print_machine machine)
+        | H_step _ | H_skip | H_error _ -> ())
       | _ -> ());
       if Compiled.state named <> Compiled.state raw
          || Compiled.variables named <> Compiled.variables raw
@@ -550,7 +624,7 @@ let test_raw_burst () =
          positional)
   in
   let fired =
-    Compiled.dispatch_raw ci ~sid:(Compiled.signal_id ci "go") ~pids
+    Compiled.dispatch_raw ci ~sid:(sid_of (Compiled.program ci) "go") ~pids
       ~argt:[| 0; 1; 1; 1 |] ~argv:[| 0; 4; 5; 6 |] ~off:1 ~argc:3
   in
   check int_t "declaration index" 0 fired;
@@ -586,7 +660,9 @@ let test_raw_readers_past_buffers () =
   ignore (Interp.initial_entry reference);
   ignore (Compiled.initial_entry ci);
   let expected = (Interp.dispatch reference ~signal:"go" ~args:[]).Interp.effects in
-  check bool_t "fired" true (Compiled.dispatch_id ci ~sid:(Compiled.signal_id ci "go") ~args:[]);
+  check int_t "fired" 0
+    (Compiled.dispatch_raw ci ~sid:(sid_of (Compiled.program ci) "go") ~pids:[||]
+       ~argt:[||] ~argv:[||] ~off:0 ~argc:0);
   check int_t "effects" 20 (Compiled.effect_count ci);
   check bool_t "boxed effects equal the reference's" true
     (List.init 20 (Compiled.effect_at ci) = expected);
@@ -595,6 +671,14 @@ let test_raw_readers_past_buffers () =
     (Compiled.effect_arg ci 18 2);
   check int_t "its tag is boolean" 2 (Compiled.effect_arg_tag ci 18 2);
   check int_t "last compute's cycles" 17 (Compiled.effect_arg ci 19 0);
+  let host_rows_of kind =
+    let h = Host.create kind (Host.table (Compiled.program ci) ~inputs:[| ("go", [||]) |]) in
+    Host.initial_entry h;
+    check int_t "Host fired" 0 (Host.dispatch h ~input:0 ~argt:[||] ~argv:[||] ~off:0 ~argc:0);
+    host_rows h
+  in
+  check bool_t "Host cursor rows agree across engines" true
+    (host_rows_of Host.Reference = host_rows_of Host.Compiled);
   match Compiled.effect_arg ci 19 1 with
   | _ -> Alcotest.fail "a compute effect has one argument"
   | exception Invalid_argument _ -> ()
@@ -799,6 +883,74 @@ let prop_network_differential =
       if fr <> fc then QCheck.Test.fail_reportf "final process states diverge";
       if er <> ec then QCheck.Test.fail_reportf "runtime errors diverge";
       true)
+
+(* An argument past the receiver signal's declared parameters binds as
+   [arg<k>]: the sender passes (5, 7) to [Ping], which declares only
+   [a]; the receiver's guard reads [arg1].  Both engines must take the
+   guarded transition and see both values. *)
+let test_surplus_argument () =
+  let sender =
+    let open Action in
+    Machine.make ~name:"Snd" ~states:[ "s0"; "s1" ] ~initial:"s0" ~variables:[]
+      [
+        Machine.transition ~src:"s0" ~dst:"s1" (Machine.After 1_000)
+          ~actions:[ send ~port:"out" "Ping" ~args:[ i 5; i 7 ] ];
+      ]
+  in
+  let receiver =
+    let open Action in
+    Machine.make ~name:"Rcv" ~states:[ "idle"; "got"; "wrong" ] ~initial:"idle"
+      ~variables:[ ("x", V_int 0); ("y", V_int 0) ]
+      [
+        Machine.transition ~src:"idle" ~dst:"got" (Machine.On_signal "Ping")
+          ~guard:(p "arg1" = i 7)
+          ~actions:[ assign "x" (p "arg1"); assign "y" (p "a") ];
+        Machine.transition ~src:"idle" ~dst:"wrong" (Machine.On_signal "Ping")
+          ~actions:[];
+      ]
+  in
+  let proc name machine =
+    { Codegen.Ir.proc_name = name; machine; priority = 1; pe = Some "pe0"; group = Some "g" }
+  in
+  let sys =
+    {
+      Codegen.Ir.sys_name = "surplus";
+      procs = [ proc "s.snd" sender; proc "s.rcv" receiver ];
+      bindings =
+        [ { Codegen.Ir.b_src = "s.snd"; b_port = "out"; b_signal = "Ping"; b_dst = "s.rcv" } ];
+      pes =
+        [
+          {
+            Codegen.Ir.pe_name = "pe0";
+            frequency_mhz = 100;
+            perf_factor = 1.0;
+            scheduling = Codegen.Ir.Fifo;
+          };
+        ];
+      segments = [];
+      wrappers = [];
+      signal_words = [ ("Ping", 1) ];
+      signal_params = [ ("Ping", [ "a" ]) ];
+      dispatch_overhead_cycles = 10;
+    }
+  in
+  List.iter
+    (fun (label, engine) ->
+      match Codegen.Runtime.create ~engine sys with
+      | Error problems -> Alcotest.failf "create: %s" (String.concat "; " problems)
+      | Ok rt ->
+        Codegen.Runtime.start rt;
+        ignore (Codegen.Runtime.run rt ~until_ns:1_000_000L);
+        check (Alcotest.option string_t) (label ^ ": guard on arg1 held")
+          (Some "got")
+          (Codegen.Runtime.process_state rt "s.rcv");
+        check bool_t (label ^ ": arg1 bound") true
+          (Codegen.Runtime.process_var rt "s.rcv" "x" = Some (Action.V_int 7));
+        check bool_t (label ^ ": declared parameter bound") true
+          (Codegen.Runtime.process_var rt "s.rcv" "y" = Some (Action.V_int 5));
+        check (Alcotest.list string_t) (label ^ ": no runtime errors") []
+          (Codegen.Runtime.runtime_errors rt))
+    [ ("reference", Codegen.Runtime.Reference); ("compiled", Codegen.Runtime.Compiled) ]
 
 (* -- scenario-level differential (TUTMAC case study) ------------------ *)
 
@@ -1239,7 +1391,12 @@ let () =
           Alcotest.test_case "raw readers past both initial buffers" `Quick
             test_raw_readers_past_buffers;
         ] );
-      ("network", [ QCheck_alcotest.to_alcotest prop_network_differential ]);
+      ( "network",
+        [
+          QCheck_alcotest.to_alcotest prop_network_differential;
+          Alcotest.test_case "surplus argument binds as arg<k>" `Quick
+            test_surplus_argument;
+        ] );
       ( "scenario",
         [
           Alcotest.test_case "fault-free traces identical" `Slow
